@@ -53,8 +53,9 @@ pub fn write_binary<const D: usize, W: Write>(mut w: W, dataset: &Dataset<D>) ->
 ///
 /// # Errors
 ///
-/// [`IoError::Binary`] for a bad magic, version, dimension mismatch, or
-/// truncated payload.
+/// [`IoError::Binary`] for a bad magic, version, dimension mismatch,
+/// truncated payload, or a NaN or infinite coordinate (the message names
+/// the trajectory index).
 pub fn read_binary<const D: usize, R: Read>(mut r: R) -> Result<Dataset<D>> {
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
@@ -89,10 +90,17 @@ pub fn read_binary<const D: usize, R: Read>(mut r: R) -> Result<Dataset<D>> {
             format!("truncated body at trajectory {i}"),
         )?;
         let mut points = Vec::with_capacity(len);
-        for _ in 0..len {
+        for j in 0..len {
             let mut c = [0.0f64; D];
             for v in c.iter_mut() {
                 *v = buf.get_f64_le();
+            }
+            // Same rule as `read_csv`: one NaN would poison σ, and
+            // normalization would then silently zero the dimension.
+            if !c.iter().all(|v| v.is_finite()) {
+                return Err(IoError::Binary(format!(
+                    "non-finite coordinate at trajectory {i}, point {j}"
+                )));
             }
             points.push(Point::new(c));
         }
@@ -190,6 +198,48 @@ mod tests {
         let mut vbad = buf.clone();
         vbad[4] = 99;
         assert!(read_binary::<2, _>(&vbad[..]).is_err());
+    }
+
+    /// The error message of a failed read, which must be a binary-format
+    /// error.
+    fn binary_error(bytes: &[u8]) -> String {
+        match read_binary::<2, _>(bytes) {
+            Err(IoError::Binary(reason)) => reason,
+            other => panic!("expected a binary-format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let ds = Dataset::new(vec![
+                Trajectory2::from_xy(&[(1.0, 2.0)]),
+                Trajectory2::from_xy(&[(0.0, 0.0), (3.0, bad)]),
+            ]);
+            let mut buf = Vec::new();
+            write_binary(&mut buf, &ds).unwrap();
+            let reason = binary_error(&buf);
+            assert!(
+                reason.contains("non-finite") && reason.contains("trajectory 1"),
+                "{bad}: {reason}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_a_truncated_body() {
+        let ds = Dataset::new(vec![
+            Trajectory2::from_xy(&[(1.0, 2.0)]),
+            Trajectory2::from_xy(&[(0.0, 0.0), (3.0, 4.0)]),
+        ]);
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &ds).unwrap();
+        // Drop the last coordinate: the second trajectory's body is short.
+        let reason = binary_error(&buf[..buf.len() - 8]);
+        assert!(
+            reason.contains("truncated body at trajectory 1"),
+            "{reason}"
+        );
     }
 
     #[test]

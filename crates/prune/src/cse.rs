@@ -17,7 +17,9 @@
 //! hope for, so our ablation is an upper bound on CSE's usefulness (and it
 //! still prunes essentially nothing; see the `cse_ablation` bench).
 
-use crate::result::{elapsed_ns, finalize_query, KnnEngine, KnnResult, QueryStats, ResultSet};
+use crate::result::{
+    elapsed_ns, finalize_query, KnnEngine, KnnResult, QueryStats, Refine, ResultSet,
+};
 use std::time::Instant;
 use trajsim_core::{Dataset, MatchThreshold, Trajectory, TrajectoryArena};
 use trajsim_distance::{with_workspace, EdrWorkspace, QueryContext};
@@ -150,6 +152,7 @@ impl<const D: usize> KnnEngine<D> for CseKnn<'_, D> {
         let mut result = ResultSet::new(k);
         let ctx = QueryContext::from_trajectory(query, self.eps);
         let mut references: Vec<(usize, usize)> = Vec::new();
+        let mut refine = Refine::timed();
         with_workspace(|ws| {
             for (id, _) in self.dataset.iter() {
                 let best = result.best_so_far();
@@ -170,17 +173,16 @@ impl<const D: usize> KnnEngine<D> for CseKnn<'_, D> {
                         continue;
                     }
                 }
-                let t_refine = Instant::now();
-                let (d, cells) = ctx.edr_counted(self.arena.view(id), ws);
-                stats.timings.refine_ns += elapsed_ns(t_refine);
-                stats.dp_cells += cells;
-                stats.edr_computed += 1;
-                if id < self.pmatrix.len() && references.len() < self.max_references {
+                // A reference-pool id needs its exact distance.
+                let joins_pool = id < self.pmatrix.len() && references.len() < self.max_references;
+                let bound = if joins_pool { usize::MAX } else { best };
+                let d = refine.step(&ctx, id, self.arena.view(id), bound, &mut result, ws);
+                if let (true, Some(d)) = (joins_pool, d) {
                     references.push((id, d));
                 }
-                result.offer(id, d);
             }
         });
+        stats.add_refine(&refine);
         stats.timings.triangle.candidates_in = stats.database_size;
         stats.timings.triangle.candidates_out = stats.database_size - stats.pruned_by_triangle;
         finalize_query(

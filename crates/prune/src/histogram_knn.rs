@@ -1,6 +1,8 @@
 //! Histogram-distance pruning (§4.3, Figures 9–10).
 
-use crate::result::{elapsed_ns, finalize_query, KnnEngine, KnnResult, QueryStats, ResultSet};
+use crate::result::{
+    elapsed_ns, finalize_query, KnnEngine, KnnResult, QueryStats, Refine, ResultSet,
+};
 use std::time::Instant;
 use trajsim_core::{Dataset, MatchThreshold, Trajectory, TrajectoryArena};
 use trajsim_distance::{with_workspace, QueryContext};
@@ -165,6 +167,7 @@ impl<const D: usize> KnnEngine<D> for HistogramKnn<'_, D> {
         stats.timings.setup_ns = elapsed_ns(t_query);
         let mut result = ResultSet::new(k);
         let ctx = QueryContext::from_trajectory(query, self.eps);
+        let mut refine = Refine::timed();
         with_workspace(|ws| match self.mode {
             ScanMode::Sequential => {
                 for id in 0..self.dataset.len() {
@@ -179,12 +182,7 @@ impl<const D: usize> KnnEngine<D> for HistogramKnn<'_, D> {
                             continue;
                         }
                     }
-                    stats.edr_computed += 1;
-                    let t_refine = Instant::now();
-                    let (d, cells) = ctx.edr_counted(self.arena.view(id), ws);
-                    stats.timings.refine_ns += elapsed_ns(t_refine);
-                    stats.dp_cells += cells;
-                    result.offer(id, d);
+                    refine.step(&ctx, id, self.arena.view(id), best, &mut result, ws);
                 }
             }
             ScanMode::Sorted => {
@@ -213,15 +211,11 @@ impl<const D: usize> KnnEngine<D> for HistogramKnn<'_, D> {
                             continue;
                         }
                     }
-                    stats.edr_computed += 1;
-                    let t_refine = Instant::now();
-                    let (d, cells) = ctx.edr_counted(self.arena.view(id), ws);
-                    stats.timings.refine_ns += elapsed_ns(t_refine);
-                    stats.dp_cells += cells;
-                    result.offer(id, d);
+                    refine.step(&ctx, id, self.arena.view(id), best, &mut result, ws);
                 }
             }
         });
+        stats.add_refine(&refine);
         stats.timings.histogram.candidates_in = stats.database_size;
         stats.timings.histogram.candidates_out = stats.database_size - stats.pruned_by_histogram;
         finalize_query(

@@ -1,7 +1,9 @@
 //! Mean-value Q-gram pruning (§4.1): the four implementation variants
 //! compared in Figures 7–8.
 
-use crate::result::{elapsed_ns, finalize_query, KnnEngine, KnnResult, QueryStats, ResultSet};
+use crate::result::{
+    elapsed_ns, finalize_query, KnnEngine, KnnResult, QueryStats, Refine, ResultSet,
+};
 use std::time::Instant;
 use trajsim_core::{Dataset, MatchThreshold, Trajectory, TrajectoryArena};
 use trajsim_distance::{with_workspace, QueryContext};
@@ -220,6 +222,7 @@ impl<const D: usize> KnnEngine<D> for QgramKnn<'_, D> {
         let mut result = ResultSet::new(k);
         let ctx = QueryContext::from_trajectory(query, self.eps);
         let lq = query.len();
+        let mut refine = Refine::timed();
         with_workspace(|ws| {
             for (rank, &id) in order.iter().enumerate() {
                 let ls = self.arena.len_of(id);
@@ -240,14 +243,10 @@ impl<const D: usize> KnnEngine<D> for QgramKnn<'_, D> {
                         continue;
                     }
                 }
-                stats.edr_computed += 1;
-                let t_refine = Instant::now();
-                let (d, cells) = ctx.edr_counted(self.arena.view(id), ws);
-                stats.timings.refine_ns += elapsed_ns(t_refine);
-                stats.dp_cells += cells;
-                result.offer(id, d);
+                refine.step(&ctx, id, self.arena.view(id), best, &mut result, ws);
             }
         });
+        stats.add_refine(&refine);
         stats.timings.qgram.candidates_in = stats.database_size;
         stats.timings.qgram.candidates_out = stats.database_size - stats.pruned_by_qgram;
         finalize_query(

@@ -1,7 +1,9 @@
 //! Query results, statistics, per-stage timings, and the engine trait.
 
 use serde_json::{json, Value};
-use trajsim_core::Trajectory;
+use std::time::Instant;
+use trajsim_core::{CoordSeq, Trajectory};
+use trajsim_distance::{EdrWorkspace, QueryContext};
 
 /// Candidate flow and wall time through one pruning filter: how many
 /// candidates the filter examined, how many survived it, and how long the
@@ -229,6 +231,14 @@ impl QueryStats {
         self.pruned_by_triangle += other.pruned_by_triangle;
         self.dp_cells += other.dp_cells;
         self.timings.accumulate(&other.timings);
+    }
+
+    /// Adds a refine step's counters: EDR computations, DP cells and
+    /// refine time.
+    pub(crate) fn add_refine(&mut self, refine: &Refine) {
+        self.edr_computed += refine.edr_computed;
+        self.dp_cells += refine.dp_cells;
+        self.timings.refine_ns += refine.refine_ns;
     }
 
     /// JSON object with every counter plus the stage breakdown under
@@ -532,6 +542,76 @@ impl ResultSet {
 
     pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
         self.entries
+    }
+}
+
+/// The refine step every k-NN engine runs on a candidate that survived
+/// its filters, plus the work it did: true-distance computations, the DP
+/// cells they filled and, for a timed step, their wall time. Engines fold
+/// the counters into [`QueryStats`] with [`QueryStats::add_refine`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Refine {
+    timed: bool,
+    pub(crate) edr_computed: usize,
+    pub(crate) dp_cells: u64,
+    pub(crate) refine_ns: u64,
+}
+
+impl Refine {
+    /// A step that times every refine (engines that interleave filters
+    /// with refines).
+    pub(crate) fn timed() -> Self {
+        Refine {
+            timed: true,
+            ..Refine::default()
+        }
+    }
+
+    /// A step that leaves `refine_ns` at zero: the scans, whose whole loop
+    /// is refinement, time the loop instead (two clock reads per query
+    /// rather than per candidate).
+    pub(crate) fn untimed() -> Self {
+        Refine::default()
+    }
+
+    /// Computes `EDR(query, candidate)` under `bound` and offers it to
+    /// `result`, returning the distance if the DP produced one.
+    ///
+    /// `bound == usize::MAX` runs the full DP: pass it while the top-k is
+    /// not yet full, and whenever the caller needs the exact distance (an
+    /// id joining a triangle/CSE reference pool). Any other bound — the
+    /// k-th best the caller prunes with — runs the early-abandoning DP,
+    /// which returns every `d <= bound` exactly and `None` above it. That
+    /// loses nothing: once the set is full, [`ResultSet::offer`] drops
+    /// every `d >= best` anyway, so each offer that can change the answer
+    /// is the same as the full DP's. Either way the call counts as one
+    /// true-distance computation.
+    #[inline]
+    pub(crate) fn step<const D: usize, S: CoordSeq<D>>(
+        &mut self,
+        ctx: &QueryContext<D>,
+        id: usize,
+        candidate: S,
+        bound: usize,
+        result: &mut ResultSet,
+        ws: &mut EdrWorkspace,
+    ) -> Option<usize> {
+        let started = self.timed.then(Instant::now);
+        let (d, cells) = if bound == usize::MAX {
+            let (d, cells) = ctx.edr_counted(candidate, ws);
+            (Some(d), cells)
+        } else {
+            ctx.edr_within_counted(candidate, bound, ws)
+        };
+        if let Some(t) = started {
+            self.refine_ns += elapsed_ns(t);
+        }
+        self.dp_cells += cells;
+        self.edr_computed += 1;
+        if let Some(d) = d {
+            result.offer(id, d);
+        }
+        d
     }
 }
 

@@ -2,9 +2,10 @@
 
 use crate::batch::{amortize, finish_batch, merge_partials, next_batch_id};
 use crate::result::{
-    elapsed_ns, finalize_query, finish_query, KnnEngine, KnnResult, Neighbor, QueryStats, ResultSet,
+    elapsed_ns, finalize_query, finish_query, KnnEngine, KnnResult, Neighbor, QueryStats, Refine,
+    ResultSet,
 };
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use trajsim_core::{CoordSeq, Dataset, MatchThreshold, Trajectory, TrajectoryArena};
 use trajsim_distance::{with_workspace, BatchContext, EdrWorkspace, QueryContext};
@@ -111,34 +112,38 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
         // keeps the instrumentation overhead at two clock reads per query.
         let t_refine = Instant::now();
         with_workspace(|ws| {
-            for (id, s) in self.arena.views() {
-                stats.edr_computed += 1;
-                if self.early_abandon {
-                    let bound = result.best_so_far();
-                    // Anything above the current k-th best cannot enter
-                    // the result; a cut-off DP suffices.
-                    if bound == usize::MAX {
-                        let (d, cells) = ctx.edr_counted(s, ws);
-                        stats.dp_cells += cells;
-                        result.offer(id, d);
-                    } else {
-                        let (d, cells) = ctx.edr_within_counted(s, bound, ws);
-                        stats.dp_cells += cells;
-                        if let Some(d) = d {
-                            result.offer(id, d);
-                        }
-                    }
-                } else {
+            if self.early_abandon {
+                let mut refine = Refine::untimed();
+                for (id, s) in self.arena.views() {
+                    refine.step(ctx, id, s, result.best_so_far(), &mut result, ws);
+                }
+                stats.add_refine(&refine);
+            } else {
+                // The paper's baseline keeps its own loop: a full DP per
+                // trajectory, with nothing else per candidate.
+                for (id, s) in self.arena.views() {
                     let (d, cells) = ctx.edr_counted(s, ws);
                     stats.dp_cells += cells;
                     result.offer(id, d);
                 }
+                stats.edr_computed = self.dataset.len();
             }
         });
         stats.timings.refine_ns = elapsed_ns(t_refine);
         KnnResult {
             neighbors: result.into_neighbors(),
             stats,
+        }
+    }
+
+    /// The refine bound for a candidate: the k-th best seen so far with
+    /// early abandoning (anything above it cannot enter the result, so a
+    /// cut-off DP suffices), `usize::MAX` — the full DP — without.
+    fn bound(&self, best: usize) -> usize {
+        if self.early_abandon {
+            best
+        } else {
+            usize::MAX
         }
     }
 
@@ -162,58 +167,46 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
             .map(|start| (start, (start + chunk_len).min(n)))
             .collect();
         let shared_bound = AtomicUsize::new(usize::MAX);
-        let computed = AtomicUsize::new(0);
-        let cells_total = AtomicU64::new(0);
-        let busy_total = AtomicU64::new(0);
         let max_pair = self.arena.max_len().max(ctx.len());
-        let partials: Vec<Vec<Neighbor>> = trajsim_parallel::par_map_with(
+        let partials: Vec<(Vec<Neighbor>, Refine, u64)> = trajsim_parallel::par_map_with(
             &chunks,
             || EdrWorkspace::with_capacity(max_pair),
             |ws, _, &(start, end)| {
                 let t_chunk = Instant::now();
                 let mut local = ResultSet::new(k);
-                let mut cells_local = 0u64;
+                let mut refine = Refine::untimed();
                 for id in start..end {
-                    let s = self.arena.view(id);
-                    let bound = if self.early_abandon {
-                        shared_bound
-                            .load(Ordering::Relaxed)
-                            .min(local.best_so_far())
-                    } else {
-                        usize::MAX
-                    };
-                    if bound == usize::MAX {
-                        let (d, cells) = ctx.edr_counted(s, ws);
-                        cells_local += cells;
-                        local.offer(id, d);
-                    } else {
-                        let (d, cells) = ctx.edr_within_counted(s, bound, ws);
-                        cells_local += cells;
-                        if let Some(d) = d {
-                            local.offer(id, d);
-                        }
-                    }
+                    let best = shared_bound
+                        .load(Ordering::Relaxed)
+                        .min(local.best_so_far());
+                    refine.step(
+                        ctx,
+                        id,
+                        self.arena.view(id),
+                        self.bound(best),
+                        &mut local,
+                        ws,
+                    );
                     if self.early_abandon {
                         shared_bound.fetch_min(local.best_so_far(), Ordering::Relaxed);
                     }
                 }
-                computed.fetch_add(end - start, Ordering::Relaxed);
-                cells_total.fetch_add(cells_local, Ordering::Relaxed);
-                busy_total.fetch_add(elapsed_ns(t_chunk), Ordering::Relaxed);
-                local.into_neighbors()
+                (local.into_neighbors(), refine, elapsed_ns(t_chunk))
             },
         );
-        let mut merged: Vec<Neighbor> = partials.into_iter().flatten().collect();
-        merged.sort_by_key(|nb| (nb.dist, nb.id));
-        merged.truncate(k);
         let mut stats = QueryStats {
             database_size: n,
-            edr_computed: computed.load(Ordering::Relaxed),
-            dp_cells: cells_total.load(Ordering::Relaxed),
             ..Default::default()
         };
-        // Summed across workers, so it can exceed the query's wall time.
-        stats.timings.refine_ns = busy_total.load(Ordering::Relaxed);
+        let mut merged: Vec<Neighbor> = Vec::new();
+        for (neighbors, refine, busy_ns) in partials {
+            merged.extend(neighbors);
+            stats.add_refine(&refine);
+            // Summed across workers, so it can exceed the query's wall time.
+            stats.timings.refine_ns += busy_ns;
+        }
+        merged.sort_by_key(|nb| (nb.dist, nb.id));
+        merged.truncate(k);
         KnnResult {
             neighbors: merged,
             stats,
@@ -239,7 +232,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
         let max_pair = self.arena.max_len().max(batch.max_query_len());
         struct ChunkOut {
             partials: Vec<Vec<Neighbor>>,
-            cells: Vec<u64>,
+            refines: Vec<Refine>,
             busy_ns: u64,
         }
         let chunks: Vec<ChunkOut> = trajsim_parallel::par_chunks(
@@ -249,27 +242,13 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
             |ws, range| {
                 let t_chunk = Instant::now();
                 let mut locals: Vec<ResultSet> = (0..nq).map(|_| ResultSet::new(k)).collect();
-                let mut cells = vec![0u64; nq];
+                let mut refines = vec![Refine::untimed(); nq];
                 for (id, s) in self.arena.views_in(range) {
                     // One arena-block load serves the whole batch.
                     for (qi, ctx) in batch.contexts().iter().enumerate() {
                         let local = &mut locals[qi];
-                        let bound = if self.early_abandon {
-                            batch.bound(qi).min(local.best_so_far())
-                        } else {
-                            usize::MAX
-                        };
-                        if bound == usize::MAX {
-                            let (d, c) = ctx.edr_counted(s, ws);
-                            cells[qi] += c;
-                            local.offer(id, d);
-                        } else {
-                            let (d, c) = ctx.edr_within_counted(s, bound, ws);
-                            cells[qi] += c;
-                            if let Some(d) = d {
-                                local.offer(id, d);
-                            }
-                        }
+                        let bound = self.bound(batch.bound(qi).min(local.best_so_far()));
+                        refines[qi].step(ctx, id, s, bound, local, ws);
                         if self.early_abandon {
                             batch.tighten(qi, local.best_so_far());
                         }
@@ -277,7 +256,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
                 }
                 ChunkOut {
                     partials: locals.into_iter().map(ResultSet::into_neighbors).collect(),
-                    cells,
+                    refines,
                     busy_ns: elapsed_ns(t_chunk),
                 }
             },
@@ -290,10 +269,11 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
             .map(|qi| {
                 let mut stats = QueryStats {
                     database_size: n,
-                    edr_computed: n,
-                    dp_cells: chunks.iter().map(|c| c.cells[qi]).sum(),
                     ..Default::default()
                 };
+                for c in &chunks {
+                    stats.add_refine(&c.refines[qi]);
+                }
                 stats.timings.setup_ns = amortize(setup_ns, nq, qi);
                 // Worker busy time amortized over the batch (see the
                 // batch-accounting notes in `crate::batch`).
