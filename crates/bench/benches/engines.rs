@@ -8,8 +8,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use trajsim_data::nhl_like;
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramKnn, HistogramVariant, KnnEngine, NearTriangleKnn,
-    QgramKnn, QgramVariant, ScanMode, SequentialScan,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, QgramKnn, QgramVariant, ScanMode,
+    SequentialScan,
 };
 
 fn bench_engines(c: &mut Criterion) {
@@ -62,12 +62,16 @@ fn bench_engines(c: &mut Criterion) {
     let qgram = QgramKnn::build(&data, eps, 1, QgramVariant::MergeJoin2d);
     group.bench_function("qgram_ps2", |b| b.iter(|| black_box(qgram.knn(&query, k))));
 
-    let hist = HistogramKnn::build(&data, eps, HistogramVariant::PerDimension, ScanMode::Sorted);
+    let hist = CombinedKnn::build(
+        &data,
+        eps,
+        CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted),
+    );
     group.bench_function("histogram_1he_hsr", |b| {
         b.iter(|| black_box(hist.knn(&query, k)))
     });
 
-    let ntr = NearTriangleKnn::build(&data, eps, 100);
+    let ntr = CombinedKnn::build(&data, eps, CombinedConfig::near_triangle_only(100));
     group.bench_function("near_triangle", |b| {
         b.iter(|| black_box(ntr.knn(&query, k)))
     });

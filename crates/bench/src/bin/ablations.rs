@@ -13,12 +13,11 @@
 //!    sweeps 25..400 (the paper fixes 400).
 
 use std::time::Instant;
-use trajsim_bench::{
-    parallel_pmatrix, probing_queries, render_table, retrieval_eps, run_engine, write_json, Args,
-};
+use trajsim_bench::{probing_queries, render_table, retrieval_eps, run_engine, write_json, Args};
+use trajsim_core::TrajectoryArena;
 use trajsim_data::nhl_like;
 use trajsim_histogram::{histogram_distance, histogram_distance_greedy, TrajectoryHistogram};
-use trajsim_prune::{KnnEngine, NearTriangleKnn, SequentialScan};
+use trajsim_prune::{build_pmatrix, CombinedConfig, CombinedKnn, KnnEngine, SequentialScan};
 
 fn main() {
     let args = Args::parse();
@@ -105,12 +104,13 @@ fn main() {
     );
 
     // --- 3. maxTriangle sweep ---------------------------------------
-    let full_pmatrix = parallel_pmatrix(&data, eps, 400);
+    let full_pmatrix = build_pmatrix(&TrajectoryArena::from_dataset(&data), eps, 400);
     let mut rows = Vec::new();
     let mut sweep = Vec::new();
     for max_t in [25usize, 50, 100, 200, 400] {
         let pm: Vec<Vec<usize>> = full_pmatrix.iter().take(max_t).cloned().collect();
-        let ntr = NearTriangleKnn::from_pmatrix(&data, eps, max_t, pm);
+        let ntr =
+            CombinedKnn::with_pmatrix(&data, eps, CombinedConfig::near_triangle_only(max_t), pm);
         let run = run_engine(&ntr, &queries, args.k, Some(&expected));
         rows.push(vec![
             max_t.to_string(),

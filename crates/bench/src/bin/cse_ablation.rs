@@ -15,15 +15,13 @@
 //! - the false dismissals CSE produces on out-of-database (corrupted)
 //!   queries, which NTR never produces.
 
-use trajsim_bench::{
-    parallel_pmatrix, probing_queries, render_table, retrieval_eps, write_json, Args,
-};
-use trajsim_core::Dataset;
+use trajsim_bench::{probing_queries, render_table, retrieval_eps, write_json, Args};
+use trajsim_core::{Dataset, TrajectoryArena};
 use trajsim_data::{
     asl_retrieval_like, corrupt, kungfu_like, seeded_rng, slip_like, CorruptionConfig,
 };
 use trajsim_prune::cse::{cse_constant, CseKnn};
-use trajsim_prune::{KnnEngine, NearTriangleKnn, SequentialScan};
+use trajsim_prune::{build_pmatrix, CombinedConfig, CombinedKnn, KnnEngine, SequentialScan};
 
 fn main() {
     let args = Args::parse();
@@ -41,16 +39,16 @@ fn main() {
     for (name, data) in &datasets {
         let eps = retrieval_eps(data);
         eprintln!("[{name}] N = {}: full pairwise matrix...", data.len());
-        let full = parallel_pmatrix(data, eps, data.len());
+        let full = build_pmatrix(&TrajectoryArena::from_dataset(data), eps, data.len());
         let c = cse_constant(&full);
         let mean_len: f64 =
             data.iter().map(|(_, t)| t.len() as f64).sum::<f64>() / data.len() as f64;
 
         let cse = CseKnn::from_matrix(data, eps, max_refs, full.clone());
-        let ntr = NearTriangleKnn::from_pmatrix(
+        let ntr = CombinedKnn::with_pmatrix(
             data,
             eps,
-            max_refs,
+            CombinedConfig::near_triangle_only(max_refs),
             full.into_iter().take(max_refs.min(data.len())).collect(),
         );
         let seq = SequentialScan::new(data, eps);

@@ -6,12 +6,12 @@
 //! high-power histogram filter first — then q-grams, then near-triangle
 //! (2HPN) — gives the best speedup.
 
-use trajsim_bench::{
-    parallel_pmatrix, probing_queries, render_table, retrieval_eps, run_engine, write_json, Args,
-};
+use trajsim_bench::{probing_queries, render_table, retrieval_eps, run_engine, write_json, Args};
+use trajsim_core::TrajectoryArena;
 use trajsim_data::nhl_like;
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, SequentialScan,
+    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, ScanMode,
+    SequentialScan,
 };
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         "[NHL] N = {n}, eps = {:.3}: building pmatrix...",
         eps.value()
     );
-    let pmatrix = parallel_pmatrix(&data, eps, max_triangle);
+    let pmatrix = build_pmatrix(&TrajectoryArena::from_dataset(&data), eps, max_triangle);
     let seq = SequentialScan::new(&data, eps);
     // Warm-up pass first (also the oracle answers): the timed baseline
     // must not pay first-touch page faults the engines would not pay.
@@ -43,6 +43,7 @@ fn main() {
             histogram: HistogramVariant::Grid { delta: 1 },
             qgram_q: 1,
             max_triangle,
+            scan: ScanMode::Sorted,
         };
         let engine = CombinedKnn::with_pmatrix(&data, eps, config, pmatrix.clone());
         let run = run_engine(&engine, &queries, args.k, Some(&expected));

@@ -13,14 +13,13 @@
 //! large sets because its many-bin histogram distances cost more.
 
 use trajsim_bench::{
-    parallel_pmatrix, probing_queries, render_table, retrieval_eps, run_engine, write_json, Args,
-    EngineRun,
+    probing_queries, render_table, retrieval_eps, run_engine, write_json, Args, EngineRun,
 };
-use trajsim_core::Dataset;
+use trajsim_core::{Dataset, TrajectoryArena};
 use trajsim_data::{mixed_like, nhl_like, random_walk_db};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramKnn, HistogramVariant, KnnEngine, NearTriangleKnn,
-    PruneOrder, QgramKnn, QgramVariant, ScanMode, SequentialScan,
+    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, QgramKnn,
+    QgramVariant, ScanMode, SequentialScan,
 };
 
 fn main() {
@@ -52,7 +51,7 @@ fn main() {
             data.len(),
             eps.value()
         );
-        let pmatrix = parallel_pmatrix(data, eps, max_triangle);
+        let pmatrix = build_pmatrix(&TrajectoryArena::from_dataset(data), eps, max_triangle);
         eprintln!("[{name}] sequential baseline...");
         let seq = SequentialScan::new(data, eps);
         // Warm-up pass first (it also yields the oracle answers): the
@@ -66,7 +65,8 @@ fn main() {
 
         let mut runs: Vec<EngineRun> = Vec::new();
         {
-            let ntr = NearTriangleKnn::from_pmatrix(data, eps, max_triangle, pmatrix.clone());
+            let config = CombinedConfig::near_triangle_only(max_triangle);
+            let ntr = CombinedKnn::with_pmatrix(data, eps, config, pmatrix.clone());
             runs.push(run_engine(&ntr, &queries, args.k, Some(&expected)));
         }
         {
@@ -77,7 +77,8 @@ fn main() {
             HistogramVariant::PerDimension,
             HistogramVariant::Grid { delta: 1 },
         ] {
-            let hist = HistogramKnn::build(data, eps, variant, ScanMode::Sorted);
+            let config = CombinedConfig::histogram_only(variant, ScanMode::Sorted);
+            let hist = CombinedKnn::build(data, eps, config);
             runs.push(run_engine(&hist, &queries, args.k, Some(&expected)));
         }
         for histogram in [
@@ -89,6 +90,7 @@ fn main() {
                 histogram,
                 qgram_q: 1,
                 max_triangle,
+                scan: ScanMode::Sorted,
             };
             let combined = CombinedKnn::with_pmatrix(data, eps, config, pmatrix.clone());
             runs.push(run_engine(&combined, &queries, args.k, Some(&expected)));

@@ -15,7 +15,9 @@ use trajsim_bench::{
 };
 use trajsim_core::Dataset;
 use trajsim_data::{asl_retrieval_like, kungfu_like, slip_like};
-use trajsim_prune::{HistogramKnn, HistogramVariant, KnnEngine, ScanMode, SequentialScan};
+use trajsim_prune::{
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, ScanMode, SequentialScan,
+};
 
 fn main() {
     let mut args = Args::parse();
@@ -61,7 +63,8 @@ fn main() {
             let mut speed_row = vec![label.to_string()];
             let mut v_json = serde_json::Map::new();
             for (mode_label, mode) in [("HSE", ScanMode::Sequential), ("HSR", ScanMode::Sorted)] {
-                let engine = HistogramKnn::build(data, eps, variant, mode);
+                let config = CombinedConfig::histogram_only(variant, mode);
+                let engine = CombinedKnn::build(data, eps, config);
                 let run = run_engine(&engine, &queries, args.k, Some(&expected));
                 let speedup = run.speedup(seq_run.secs_per_query);
                 power_row.push(format!("{:.3}", run.pruning_power));

@@ -11,12 +11,12 @@
 //! differ).
 
 use trajsim_bench::{
-    engine_run_json, parallel_pmatrix, probing_queries, render_table, retrieval_eps, run_engine,
-    threads_json, write_json, Args,
+    engine_run_json, probing_queries, render_table, retrieval_eps, run_engine, threads_json,
+    write_json, Args,
 };
 use trajsim_core::Dataset;
 use trajsim_data::{asl_retrieval_like, random_walk_set, seeded_rng, LengthDistribution};
-use trajsim_prune::{KnnEngine, NearTriangleKnn, SequentialScan};
+use trajsim_prune::{CombinedConfig, CombinedKnn, KnnEngine, SequentialScan};
 
 fn main() {
     let args = Args::parse();
@@ -62,7 +62,7 @@ fn main() {
             data.len(),
             eps.value()
         );
-        let pmatrix = parallel_pmatrix(data, eps, max_triangle);
+        let ntr = CombinedKnn::build(data, eps, CombinedConfig::near_triangle_only(max_triangle));
         let seq = SequentialScan::new(data, eps);
         // Warm-up pass first (it also yields the oracle answers): the
         // timed baseline must not pay first-touch page faults that the
@@ -72,7 +72,6 @@ fn main() {
             .map(|q| seq.knn(q, args.k).distances())
             .collect();
         let seq_run = run_engine(&seq, &queries, args.k, None);
-        let ntr = NearTriangleKnn::from_pmatrix(data, eps, max_triangle, pmatrix);
         let run = run_engine(&ntr, &queries, args.k, Some(&expected));
         let speedup = run.speedup(seq_run.secs_per_query);
         power_row.push(format!("{:.2}", run.pruning_power));

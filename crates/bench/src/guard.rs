@@ -19,8 +19,8 @@ use trajsim_data::{random_walk_from, random_walk_set, seeded_rng, LengthDistribu
 use trajsim_distance::{edr, edr_counted_with, edr_within, EdrWorkspace, QueryContext};
 use trajsim_histogram::{histogram_distance_quick, TrajectoryHistogram};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramKnn, HistogramVariant, KnnEngine, NearTriangleKnn,
-    QgramKnn, QgramVariant, QueryStats, ScanMode, SequentialScan,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, QgramKnn, QgramVariant, QueryStats,
+    ScanMode, SequentialScan,
 };
 use trajsim_qgram::SortedMeans;
 
@@ -321,8 +321,12 @@ fn run_filters(cfg: &GuardConfig) -> SuiteRun {
     let qs = crate::probing_queries(&ds, queries);
     let scan = SequentialScan::new(&ds, eps);
     let qgram = QgramKnn::build(&ds, eps, 1, QgramVariant::MergeJoin2d);
-    let histogram = HistogramKnn::build(&ds, eps, HistogramVariant::PerDimension, ScanMode::Sorted);
-    let triangle = NearTriangleKnn::build(&ds, eps, pool);
+    let histogram = CombinedKnn::build(
+        &ds,
+        eps,
+        CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted),
+    );
+    let triangle = CombinedKnn::build(&ds, eps, CombinedConfig::near_triangle_only(pool));
     let combined = CombinedKnn::build(
         &ds,
         eps,

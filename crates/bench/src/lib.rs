@@ -8,8 +8,8 @@
 //!
 //! Shared here: deterministic data-set constructors (scaled-down defaults
 //! with `--full` for paper scale), the ε selection rule, wall-clock
-//! measurement of k-NN engines, the parallel offline pmatrix builder, and
-//! small table/JSON formatting helpers.
+//! measurement of k-NN engines, and small table/JSON formatting helpers.
+//! The offline pmatrix comes from `trajsim_prune::build_pmatrix`.
 
 #![forbid(unsafe_code)]
 
@@ -17,7 +17,6 @@ pub mod guard;
 
 use std::time::Instant;
 use trajsim_core::{max_std_dev, Dataset, MatchThreshold, Trajectory};
-use trajsim_distance::edr;
 use trajsim_prune::{KnnEngine, QueryStats};
 
 /// Minimal command-line options shared by the harness binaries.
@@ -183,18 +182,6 @@ pub fn threads_json() -> serde_json::Value {
     serde_json::json!({ "count": count, "source": source.as_str() })
 }
 
-/// Computes the reference-pool pmatrix rows (`EDR(db[r], ·)` for
-/// `r < pool`) in parallel via [`trajsim_parallel::par_map`] — the
-/// offline phase of near-triangle pruning, which the paper also
-/// precomputes. Dynamic chunking balances the uneven row costs.
-pub fn parallel_pmatrix(dataset: &Dataset<2>, eps: MatchThreshold, pool: usize) -> Vec<Vec<usize>> {
-    let pool = pool.min(dataset.len());
-    let refs = &dataset.trajectories()[..pool];
-    trajsim_parallel::par_map(refs, |_, tr| {
-        dataset.iter().map(|(_, s)| edr(tr, s, eps)).collect()
-    })
-}
-
 /// Answers a batch of queries — a thin wrapper over
 /// [`KnnEngine::knn_batch`], kept for the harness binaries. For the
 /// sequential scan and the combined engine this takes the shared-work
@@ -314,23 +301,6 @@ mod tests {
         assert_eq!(run.pruning_power, 0.0);
         assert!(run.secs_per_query >= 0.0);
         assert_eq!(run.stats.database_size, 60); // 3 queries x N=20
-    }
-
-    #[test]
-    fn parallel_pmatrix_matches_serial() {
-        let d = db();
-        let eps = pick_eps(&d);
-        let par = parallel_pmatrix(&d, eps, 5);
-        assert_eq!(par.len(), 5);
-        for (r, row) in par.iter().enumerate() {
-            for (s, &v) in row.iter().enumerate() {
-                assert_eq!(
-                    v,
-                    edr(&d.trajectories()[r], &d.trajectories()[s], eps),
-                    "mismatch at ({r},{s})"
-                );
-            }
-        }
     }
 
     #[test]

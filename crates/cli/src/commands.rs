@@ -13,8 +13,8 @@ use trajsim_profile::{
     SamplerConfig, SlowReport, TeeSink, WorkloadStats,
 };
 use trajsim_prune::{
-    range_query, CombinedConfig, CombinedKnn, HistogramKnn, HistogramVariant, KnnEngine, KnnResult,
-    NearTriangleKnn, QgramKnn, QgramVariant, QueryStats, ScanMode, SequentialScan,
+    range_query, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, KnnResult, QgramKnn,
+    QgramVariant, QueryStats, ScanMode, SequentialScan,
 };
 
 const USAGE: &str = "\
@@ -888,11 +888,13 @@ fn pick_index(parsed: &Parsed) -> Result<bool, String> {
     }
 }
 
-/// Builds the named engine over `ds`. `max_triangle` bounds the
-/// reference pool of the (near-)triangle filter where one is used;
-/// `index` additionally builds the ART signature index (combined engine
-/// only — the other engines have no candidate-generation stage to
-/// replace).
+/// Builds the named engine over `ds`. `histogram`, `triangle` and
+/// `combined` are configurations of the one filter cascade
+/// ([`CombinedKnn`]). `max_triangle` bounds the reference pool of the
+/// (near-)triangle filter where one is used; `index` additionally builds
+/// the ART signature index (combined engine only — the other engines
+/// have no candidate-generation stage to replace). Histograms need a
+/// positive ε, so ε = 0 is an error for the engines that build them.
 fn build_engine<'a>(
     ds: &'a Dataset<2>,
     eps: MatchThreshold,
@@ -905,27 +907,37 @@ fn build_engine<'a>(
             "--index art requires the combined engine (got {name:?})"
         ));
     }
-    Ok(match name {
+    let config = match name {
         // The parallel scan degrades to the serial one on a single worker.
-        "scan" => engine_pair(SequentialScan::new(ds, eps).with_parallel()),
-        "qgram" => engine_pair(QgramKnn::build(ds, eps, 1, QgramVariant::MergeJoin2d)),
-        "histogram" => engine_pair(HistogramKnn::build(
-            ds,
-            eps,
-            HistogramVariant::PerDimension,
-            ScanMode::Sorted,
-        )),
-        "triangle" => engine_pair(NearTriangleKnn::build(ds, eps, max_triangle)),
-        "combined" => {
-            let config = CombinedConfig {
-                max_triangle,
-                ..Default::default()
-            };
-            let engine = CombinedKnn::build(ds, eps, config);
-            engine_pair(if index { engine.with_index() } else { engine })
+        "scan" => return Ok(engine_pair(SequentialScan::new(ds, eps).with_parallel())),
+        "qgram" => {
+            let engine = QgramKnn::build(ds, eps, 1, QgramVariant::MergeJoin2d);
+            return Ok(engine_pair(engine));
         }
+        "histogram" => {
+            CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted)
+        }
+        "triangle" => CombinedConfig::near_triangle_only(max_triangle),
+        "combined" => CombinedConfig {
+            max_triangle,
+            ..Default::default()
+        },
         other => return Err(format!("unknown engine {other:?}")),
-    })
+    };
+    if eps.value() == 0.0 && config.builds_histograms() {
+        return Err(format!(
+            "the {name} engine's histograms need a positive epsilon, but epsilon is 0 \
+             (the default is a quarter of the largest coordinate standard deviation, \
+             which is 0 when every point is the same); pass --eps, or use an engine \
+             that accepts epsilon 0: scan, qgram or triangle"
+        ));
+    }
+    let engine = CombinedKnn::build(ds, eps, config);
+    Ok(engine_pair(if index {
+        engine.with_index()
+    } else {
+        engine
+    }))
 }
 
 /// Resolves the query selection shared by `knn` and `explain`: exactly
@@ -1556,6 +1568,44 @@ mod tests {
         // Bad engine and bad query id fail cleanly.
         assert!(run(&["knn", &csv, "--query", "0", "--engine", "magic"]).is_err());
         assert!(run(&["knn", &csv, "--query", "9999"]).is_err());
+    }
+
+    #[test]
+    fn zero_epsilon_is_an_error_for_histogram_engines_only() {
+        let _g = sink_guard();
+        let csv = tmp("eps0.csv");
+        run(&["generate", "walk", "--n", "20", "--seed", "5", "-o", &csv]).unwrap();
+        for engine in ["combined", "histogram"] {
+            let err = run(&[
+                "knn", &csv, "--query", "0", "--eps", "0", "--engine", engine,
+            ])
+            .unwrap_err();
+            assert!(
+                err.contains("positive epsilon") && err.contains("triangle"),
+                "{engine}: unexpected error: {err}"
+            );
+        }
+        // The default engine is the combined one.
+        assert!(run(&["knn", &csv, "--query", "0", "--eps", "0"]).is_err());
+        assert!(run(&["explain", &csv, "--query", "0", "--eps", "0"]).is_err());
+        for engine in ["scan", "qgram", "triangle"] {
+            run(&[
+                "knn", &csv, "--query", "0", "--k", "3", "--eps", "0", "--engine", engine,
+            ])
+            .unwrap_or_else(|e| panic!("{engine} at eps 0: {e}"));
+        }
+        // Identical points make the default epsilon (a quarter of σ) 0.
+        let flat = tmp("eps0-flat.csv");
+        let rows: Vec<String> = (0..3)
+            .flat_map(|id| (0..4).map(move |t| format!("{id},{t},1.5,-2")))
+            .collect();
+        std::fs::write(&flat, format!("traj_id,t,c0,c1\n{}\n", rows.join("\n"))).unwrap();
+        let err = run(&["knn", &flat, "--query", "0"]).unwrap_err();
+        assert!(err.contains("positive epsilon"), "unexpected error: {err}");
+        run(&[
+            "knn", &flat, "--query", "0", "--k", "2", "--engine", "triangle",
+        ])
+        .unwrap();
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub struct Candidate {
 /// What a source generated for one query.
 #[derive(Debug, Clone)]
 pub struct CandidateBatch {
-    /// Candidates sorted ascending by `(lower_bound, id)` — the HSR
-    /// visit order the cascade expects.
+    /// Candidates in the visit order of the engine's scan: ascending by
+    /// `(lower_bound, id)` for HSR, database order for HSE.
     pub candidates: Vec<Candidate>,
     /// True iff `candidates` lists *every* database trajectory. When
     /// false, every absent id provably has `EDR = max(query len, its

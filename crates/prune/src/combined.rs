@@ -1,8 +1,9 @@
-//! Combining the three pruning methods (§4.4, Figures 11–13).
+//! The k-NN filter cascade (§4.3–4.4, Figures 9–13, Table 3): the
+//! paper's `EDRCombineK-NN` loop, configured by which lower-bound filters
+//! it applies, in which order, and how it visits the candidates.
 
 use crate::batch::{amortize, finish_batch, merge_partials, next_batch_id};
 use crate::candidates::{Candidate, CandidateBatch, CandidateSource};
-use crate::histogram_knn::HistogramVariant;
 use crate::result::{
     elapsed_ns, finalize_query, finish_query, KnnEngine, KnnResult, Neighbor, QueryStats, Refine,
     ResultSet,
@@ -18,6 +19,35 @@ use trajsim_histogram::{
 };
 use trajsim_qgram::{passes_count_filter, SortedMeans};
 
+/// Which histogram embedding the engine uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistogramVariant {
+    /// Full `D`-dimensional trajectory histograms with bin size `δ·ε`
+    /// (δ = 1 is the paper's 2HE; δ = 2..4 are 2H2E..2H4E, the
+    /// fewer-bins/weaker-bound trade-off of Theorem 7).
+    Grid {
+        /// The bin-size multiplier δ (≥ 1).
+        delta: u32,
+    },
+    /// One histogram per projected dimension with bin size ε (the paper's
+    /// 1HE, Theorem 8). The lower bound is the *maximum* of the
+    /// per-dimension histogram distances — each is individually a lower
+    /// bound of EDR, so their max is a tighter sound bound.
+    PerDimension,
+}
+
+/// How candidates are visited (§4.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanMode {
+    /// **HSE**: database order; a candidate whose quick histogram bound
+    /// exceeds the current best-so-far is pruned on its own.
+    Sequential,
+    /// **HSR**: compute every quick histogram bound first, then visit in
+    /// ascending lower-bound order — once a lower bound exceeds
+    /// best-so-far, *everything* after it is pruned in one step.
+    Sorted,
+}
+
 /// One of the three filters, used to spell an application order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Filter {
@@ -29,10 +59,12 @@ pub enum Filter {
     NearTriangle,
 }
 
-/// The application order of the three orthogonal filters. The paper tests
-/// all six (Figure 11); `Hqn` — histogram, then q-grams, then near
-/// triangle — is the winner, "applying a pruning method with more pruning
-/// power and less expensive computation cost first".
+/// The filters the cascade applies, in application order. The paper
+/// tests all six orders of the three filters (Figure 11); `HQN` —
+/// histogram, then q-grams, then near triangle — is the winner,
+/// "applying a pruning method with more pruning power and less expensive
+/// computation cost first". `H` and `N` are the single-filter engines of
+/// §4.3 and §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum PruneOrder {
@@ -48,10 +80,14 @@ pub enum PruneOrder {
     NHQ,
     /// near-triangle → q-gram → histogram.
     NQH,
+    /// Histogram pruning alone (§4.3, Figures 9–10).
+    H,
+    /// Near-triangle pruning alone (§4.2, Table 3).
+    N,
 }
 
 impl PruneOrder {
-    /// All six orders, for the Figure 11 sweep.
+    /// The six orders of all three filters, for the Figure 11 sweep.
     pub const ALL: [PruneOrder; 6] = [
         PruneOrder::HQN,
         PruneOrder::HNQ,
@@ -62,16 +98,23 @@ impl PruneOrder {
     ];
 
     /// The filters in application order.
-    pub fn filters(self) -> [Filter; 3] {
+    pub fn filters(self) -> &'static [Filter] {
         use Filter::*;
         match self {
-            PruneOrder::HQN => [Histogram, Qgram, NearTriangle],
-            PruneOrder::HNQ => [Histogram, NearTriangle, Qgram],
-            PruneOrder::QHN => [Qgram, Histogram, NearTriangle],
-            PruneOrder::QNH => [Qgram, NearTriangle, Histogram],
-            PruneOrder::NHQ => [NearTriangle, Histogram, Qgram],
-            PruneOrder::NQH => [NearTriangle, Qgram, Histogram],
+            PruneOrder::HQN => &[Histogram, Qgram, NearTriangle],
+            PruneOrder::HNQ => &[Histogram, NearTriangle, Qgram],
+            PruneOrder::QHN => &[Qgram, Histogram, NearTriangle],
+            PruneOrder::QNH => &[Qgram, NearTriangle, Histogram],
+            PruneOrder::NHQ => &[NearTriangle, Histogram, Qgram],
+            PruneOrder::NQH => &[NearTriangle, Qgram, Histogram],
+            PruneOrder::H => &[Histogram],
+            PruneOrder::N => &[NearTriangle],
         }
+    }
+
+    /// True iff the order applies `filter`.
+    pub(crate) fn names(self, filter: Filter) -> bool {
+        self.filters().contains(&filter)
     }
 
     /// The paper's label style: e.g. `2HPN` for histogram → q-gram →
@@ -81,20 +124,21 @@ impl PruneOrder {
             HistogramVariant::Grid { .. } => "2H",
             HistogramVariant::PerDimension => "1H",
         };
-        let spell: String = self
-            .filters()
+        self.filters()
             .iter()
             .map(|f| match f {
-                Filter::Histogram => h.to_string(),
-                Filter::Qgram => "P".to_string(),
-                Filter::NearTriangle => "N".to_string(),
+                Filter::Histogram => h,
+                Filter::Qgram => "P",
+                Filter::NearTriangle => "N",
             })
-            .collect();
-        spell
+            .collect()
     }
 }
 
-/// Configuration of the combined engine.
+/// Configuration of the cascade. The engine builds only the structures
+/// it names: histograms when the order names the histogram filter or the
+/// scan is [`ScanMode::Sorted`], q-gram means when it names the q-gram
+/// filter, and the reference `pmatrix` when it names the triangle filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CombinedConfig {
     /// Filter application order.
@@ -106,20 +150,117 @@ pub struct CombinedConfig {
     pub qgram_q: usize,
     /// Reference-pool size for near-triangle pruning (the paper uses 400).
     pub max_triangle: usize,
+    /// Candidate visit order: HSR (the default, which the §5.3 study
+    /// selected for the combination) or HSE.
+    pub scan: ScanMode,
 }
 
 impl Default for CombinedConfig {
     /// The paper's best setting: histogram first (1-d histograms — the
     /// overall winner of Figures 12–13), then merge-join q-grams of size
-    /// 1, then near-triangle with 400 references.
+    /// 1, then near-triangle with 400 references, over the HSR scan.
     fn default() -> Self {
         CombinedConfig {
             order: PruneOrder::HQN,
             histogram: HistogramVariant::PerDimension,
             qgram_q: 1,
             max_triangle: 400,
+            scan: ScanMode::Sorted,
         }
     }
+}
+
+impl CombinedConfig {
+    /// Histogram pruning alone (§4.3): the paper's 1HE, 2HE and 2HδE,
+    /// each with an HSE or HSR scan.
+    pub fn histogram_only(histogram: HistogramVariant, scan: ScanMode) -> Self {
+        CombinedConfig {
+            order: PruneOrder::H,
+            histogram,
+            scan,
+            ..CombinedConfig::default()
+        }
+    }
+
+    /// Near-triangle pruning alone (§4.2, Figure 4) over a database-order
+    /// scan, with the first `max_triangle` trajectories as references.
+    pub fn near_triangle_only(max_triangle: usize) -> Self {
+        CombinedConfig {
+            order: PruneOrder::N,
+            max_triangle,
+            scan: ScanMode::Sequential,
+            ..CombinedConfig::default()
+        }
+    }
+
+    /// True iff the engine embeds histograms, which need a positive ε.
+    pub fn builds_histograms(&self) -> bool {
+        self.order.names(Filter::Histogram) || self.scan == ScanMode::Sorted
+    }
+
+    /// The reference pool size over `n` trajectories: `max_triangle`
+    /// capped at `n`, or 0 when the order has no triangle filter.
+    fn references(&self, n: usize) -> usize {
+        if self.order.names(Filter::NearTriangle) {
+            self.max_triangle.min(n)
+        } else {
+            0
+        }
+    }
+
+    /// The paper's label: `2HE-HSE`, `1HE-HSR`, `NTR(maxT=400)` for the
+    /// single-filter engines and `1HPN` style for the combinations. A
+    /// scan other than the engine's paper default (HSE for NTR, HSR for
+    /// the rest) is appended.
+    fn label(&self) -> String {
+        let scan = match self.scan {
+            ScanMode::Sequential => "HSE",
+            ScanMode::Sorted => "HSR",
+        };
+        match self.order {
+            PruneOrder::H => {
+                let v = match self.histogram {
+                    HistogramVariant::Grid { delta: 1 } => "2HE".to_string(),
+                    HistogramVariant::Grid { delta } => format!("2H{delta}E"),
+                    HistogramVariant::PerDimension => "1HE".to_string(),
+                };
+                format!("{v}-{scan}")
+            }
+            PruneOrder::N => match self.scan {
+                ScanMode::Sequential => format!("NTR(maxT={})", self.max_triangle),
+                ScanMode::Sorted => format!("NTR(maxT={})-{scan}", self.max_triangle),
+            },
+            order => match self.scan {
+                ScanMode::Sequential => format!("{}-{scan}", order.label(self.histogram)),
+                ScanMode::Sorted => order.label(self.histogram),
+            },
+        }
+    }
+}
+
+/// The near-triangle filter's offline `pmatrix` (§4.2): row `r` holds
+/// `EDR(db[r], ·)` for each of the first `references` trajectories of
+/// `arena` (capped at N) — O(references · N) EDRs, done once per
+/// database and amortized over every query, the in-memory stand-in for
+/// the paper's disk-resident pmatrix columns. Rows are computed in
+/// parallel: one `trajsim-parallel` task per reference row, one
+/// pre-grown EDR workspace per worker, reused across its rows.
+pub fn build_pmatrix<const D: usize>(
+    arena: &TrajectoryArena<D>,
+    eps: MatchThreshold,
+    references: usize,
+) -> Vec<Vec<usize>> {
+    let ids: Vec<usize> = (0..references.min(arena.len())).collect();
+    trajsim_parallel::par_map_with(
+        &ids,
+        || EdrWorkspace::with_capacity(arena.max_len()),
+        |ws, _, &r| {
+            let ctx = QueryContext::new(arena.view(r), eps);
+            (0..arena.len())
+                .map(|s| ctx.edr(arena.view(s), ws))
+                .collect()
+        },
+    )
 }
 
 #[derive(Debug)]
@@ -212,9 +353,33 @@ impl<const D: usize> ArtIndexes<D> {
     }
 }
 
-/// `EDRCombineK-NN` (Figure 6), generalized to any filter order: each
-/// candidate runs through the three lower-bound filters in the configured
-/// order and the true EDR is computed only if none of them prunes it.
+/// Per-(query, worker) counters of the batched scan.
+#[derive(Clone, Copy, Default)]
+struct BatchCounters {
+    refine: Refine,
+    pruned_h: usize,
+    pruned_q: usize,
+    pruned_t: usize,
+    q_in: usize,
+    q_out: usize,
+    t_in: usize,
+    t_out: usize,
+}
+
+impl BatchCounters {
+    fn timed() -> Self {
+        BatchCounters {
+            refine: Refine::timed(),
+            ..BatchCounters::default()
+        }
+    }
+}
+
+/// `EDRCombineK-NN` (Figure 6), generalized to any list of filters in
+/// any order: each candidate runs through the configured lower-bound
+/// filters and the true EDR is computed only if none of them prunes it.
+/// The single-filter orders are the paper's histogram engine (§4.3,
+/// HSE/HSR) and `NearTrianglePruning` (§4.2, Figure 4).
 ///
 /// Because the filters are orthogonal lower bounds, the *set* of pruned
 /// candidates is order-independent (the paper confirms "the six
@@ -228,85 +393,92 @@ pub struct CombinedKnn<'a, const D: usize> {
     arena: TrajectoryArena<D>,
     eps: MatchThreshold,
     config: CombinedConfig,
-    hists: Hists<D>,
-    qgrams: Vec<SortedMeans<D>>,
-    /// `pmatrix[r][s]` for the reference pool (first `max_triangle` ids).
+    /// Histogram embeddings, when the configuration builds them.
+    hists: Option<Hists<D>>,
+    /// Sorted q-gram means, when the order names the q-gram filter.
+    qgrams: Option<Vec<SortedMeans<D>>>,
+    /// `pmatrix[r][s]` for the reference pool (the first `max_triangle`
+    /// ids); empty unless the order names the triangle filter.
     pmatrix: Vec<Vec<usize>>,
     /// Signature indexes for sublinear candidate generation, when built.
     index: Option<ArtIndexes<D>>,
 }
 
 impl<'a, const D: usize> CombinedKnn<'a, D> {
-    /// Builds all three filter structures for `dataset`. The reference
-    /// `pmatrix` rows are computed in parallel (one task per reference;
-    /// thread count per `trajsim-parallel`; one pre-grown EDR workspace
-    /// per worker, reused across its rows).
-    pub fn build(dataset: &'a Dataset<D>, eps: MatchThreshold, config: CombinedConfig) -> Self {
-        let pool = config.max_triangle.min(dataset.len());
-        let arena = TrajectoryArena::from_dataset(dataset);
-        let ids: Vec<usize> = (0..pool).collect();
-        let pmatrix = trajsim_parallel::par_map_with(
-            &ids,
-            || EdrWorkspace::with_capacity(arena.max_len()),
-            |ws, _, &r| {
-                let ctx = QueryContext::new(arena.view(r), eps);
-                (0..arena.len())
-                    .map(|s| ctx.edr(arena.view(s), ws))
-                    .collect()
-            },
-        );
-        Self::with_pmatrix(dataset, eps, config, pmatrix)
-    }
-
-    /// Builds with an externally computed reference `pmatrix` (see
-    /// [`crate::NearTriangleKnn::from_pmatrix`]).
+    /// Builds the structures the configuration names for `dataset`; the
+    /// reference `pmatrix` comes from [`build_pmatrix`].
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shape is inconsistent, `qgram_q == 0`, or
-    /// `eps` is zero.
+    /// As [`Self::with_pmatrix`].
+    pub fn build(dataset: &'a Dataset<D>, eps: MatchThreshold, config: CombinedConfig) -> Self {
+        if !config.order.names(Filter::NearTriangle) {
+            return Self::with_pmatrix(dataset, eps, config, Vec::new());
+        }
+        let arena = TrajectoryArena::from_dataset(dataset);
+        let pmatrix = build_pmatrix(&arena, eps, config.max_triangle);
+        Self::with_pmatrix(dataset, eps, config, pmatrix)
+    }
+
+    /// Builds with an externally computed reference `pmatrix` (row `r` =
+    /// `EDR(db[r], ·)` for `r < max_triangle.min(N)`; no rows when the
+    /// order has no triangle filter), so one matrix can serve several
+    /// configurations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix shape is inconsistent with the database and
+    /// configuration, if the configuration builds histograms and `eps` is
+    /// zero or `delta` is zero, or if it builds q-gram means and
+    /// `qgram_q` is zero.
     pub fn with_pmatrix(
         dataset: &'a Dataset<D>,
         eps: MatchThreshold,
         config: CombinedConfig,
         pmatrix: Vec<Vec<usize>>,
     ) -> Self {
-        assert!(config.qgram_q > 0, "q-gram size must be positive");
-        assert!(
-            eps.value() > 0.0,
-            "histogram pruning needs a positive epsilon"
-        );
-        let pool = config.max_triangle.min(dataset.len());
         assert_eq!(
             pmatrix.len(),
-            pool,
+            config.references(dataset.len()),
             "pmatrix must have one row per reference"
         );
         for row in &pmatrix {
             assert_eq!(row.len(), dataset.len(), "pmatrix row length must be N");
         }
-        let hists = match config.histogram {
-            HistogramVariant::Grid { delta } => Hists::Grid(
-                dataset
-                    .iter()
-                    .map(|(_, t)| TrajectoryHistogram::build_coarse(t, eps, delta))
-                    .collect(),
-            ),
-            HistogramVariant::PerDimension => Hists::PerDim(
-                dataset
-                    .iter()
-                    .map(|(_, t)| {
-                        (0..D)
-                            .map(|dim| TrajectoryHistogram::<D>::build_projected(t, eps, dim))
-                            .collect()
-                    })
-                    .collect(),
-            ),
-        };
-        let qgrams = dataset
-            .iter()
-            .map(|(_, t)| SortedMeans::build(t, config.qgram_q))
-            .collect();
+        let hists = config.builds_histograms().then(|| {
+            assert!(
+                eps.value() > 0.0,
+                "histogram pruning needs a positive epsilon"
+            );
+            match config.histogram {
+                HistogramVariant::Grid { delta } => {
+                    assert!(delta >= 1, "bin-size multiplier must be at least 1");
+                    Hists::Grid(
+                        dataset
+                            .iter()
+                            .map(|(_, t)| TrajectoryHistogram::build_coarse(t, eps, delta))
+                            .collect(),
+                    )
+                }
+                HistogramVariant::PerDimension => Hists::PerDim(
+                    dataset
+                        .iter()
+                        .map(|(_, t)| {
+                            (0..D)
+                                .map(|dim| TrajectoryHistogram::<D>::build_projected(t, eps, dim))
+                                .collect()
+                        })
+                        .collect(),
+                ),
+            }
+        });
+        let qgrams = config.order.names(Filter::Qgram).then(|| {
+            assert!(config.qgram_q > 0, "q-gram size must be positive");
+            dataset
+                .iter()
+                .map(|(_, t)| SortedMeans::build(t, config.qgram_q))
+                .collect()
+        });
         CombinedKnn {
             dataset,
             arena: TrajectoryArena::from_dataset(dataset),
@@ -324,12 +496,20 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     /// generation from the O(dataset) scan to trie probes. The answers
     /// are identical (the index only over-approximates); candidate
     /// generation cost becomes proportional to what the probes touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the configuration builds both histograms and q-gram
+    /// means (a sorted scan whose order names the q-gram filter).
     pub fn with_index(mut self) -> Self {
-        let hist = match &self.hists {
+        let (Some(hists), Some(qgrams)) = (&self.hists, &self.qgrams) else {
+            panic!("the signature index needs histograms and q-gram means");
+        };
+        let hist = match hists {
             Hists::Grid(h) => HistogramArtIndex::build_grid(h),
             Hists::PerDim(h) => HistogramArtIndex::build_per_dim(h),
         };
-        let qgram = QgramArtIndex::build(&self.qgrams, self.eps);
+        let qgram = QgramArtIndex::build(qgrams, self.eps);
         let mut ids_by_len: Vec<u32> = (0..self.dataset.len() as u32).collect();
         ids_by_len.sort_unstable_by_key(|&id| (self.arena.len_of(id as usize), id));
         self.index = Some(ArtIndexes {
@@ -352,40 +532,42 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     }
 
     /// Candidate generation behind the [`CandidateSource`] seam: the
-    /// trie probes when an index is built, otherwise the quick-bound
-    /// scan over every id (sorted into the HSR visit order either way).
+    /// trie probes when an index is built, otherwise every id with its
+    /// quick histogram bound (0 without histograms), sorted into the HSR
+    /// visit order or left in database order for HSE.
     fn generate_candidates(
         &self,
         query_len: usize,
-        qh: &QueryHists<D>,
-        q_means: &SortedMeans<D>,
+        qh: Option<&QueryHists<D>>,
+        q_means: Option<&SortedMeans<D>>,
     ) -> CandidateBatch {
-        match &self.index {
-            Some(index) => index.generate(query_len, qh, q_means),
-            None => {
-                let mut candidates: Vec<Candidate> = (0..self.dataset.len())
-                    .map(|id| Candidate {
-                        id,
-                        lower_bound: self.histogram_quick(qh, id),
-                        exact: false,
-                        qgram_count_ub: None,
-                    })
-                    .collect();
-                candidates.sort_unstable_by_key(|c| (c.lower_bound, c.id));
-                CandidateBatch {
-                    candidates,
-                    exhaustive: true,
-                }
-            }
+        if let Some(index) = &self.index {
+            let built = "an indexed engine embeds histograms and q-gram means";
+            return index.generate(query_len, qh.expect(built), q_means.expect(built));
+        }
+        let mut candidates: Vec<Candidate> = (0..self.dataset.len())
+            .map(|id| Candidate {
+                id,
+                lower_bound: qh.map_or(0, |qh| self.histogram_quick(qh, id)),
+                exact: false,
+                qgram_count_ub: None,
+            })
+            .collect();
+        if self.config.scan == ScanMode::Sorted {
+            candidates.sort_unstable_by_key(|c| (c.lower_bound, c.id));
+        }
+        CandidateBatch {
+            candidates,
+            exhaustive: true,
         }
     }
 
     /// The linear quick histogram lower bound (drives the HSR visit order
-    /// and its break-out).
+    /// and its break-out, and HSE's per-candidate check).
     fn histogram_quick(&self, qh: &QueryHists<D>, id: usize) -> usize {
         match (&self.hists, qh) {
-            (Hists::Grid(h), QueryHists::Grid(q)) => histogram_distance_quick(q, &h[id]),
-            (Hists::PerDim(h), QueryHists::PerDim(q)) => q
+            (Some(Hists::Grid(h)), QueryHists::Grid(q)) => histogram_distance_quick(q, &h[id]),
+            (Some(Hists::PerDim(h)), QueryHists::PerDim(q)) => q
                 .iter()
                 .zip(&h[id])
                 .map(|(a, b)| histogram_distance_quick(a, b))
@@ -399,8 +581,8 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     /// the histogram filter's turn comes.
     fn histogram_exact(&self, qh: &QueryHists<D>, id: usize) -> usize {
         match (&self.hists, qh) {
-            (Hists::Grid(h), QueryHists::Grid(q)) => histogram_distance(q, &h[id]),
-            (Hists::PerDim(h), QueryHists::PerDim(q)) => q
+            (Some(Hists::Grid(h)), QueryHists::Grid(q)) => histogram_distance(q, &h[id]),
+            (Some(Hists::PerDim(h)), QueryHists::PerDim(q)) => q
                 .iter()
                 .zip(&h[id])
                 .map(|(a, b)| histogram_distance(a, b))
@@ -414,8 +596,11 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     /// candidate per batch.
     fn blur_candidate(&self, id: usize) -> Blurs<D> {
         match &self.hists {
-            Hists::Grid(h) => Blurs::Grid(BlurredHistogram::build(&h[id])),
-            Hists::PerDim(h) => Blurs::PerDim(h[id].iter().map(BlurredHistogram::build).collect()),
+            Some(Hists::Grid(h)) => Blurs::Grid(BlurredHistogram::build(&h[id])),
+            Some(Hists::PerDim(h)) => {
+                Blurs::PerDim(h[id].iter().map(BlurredHistogram::build).collect())
+            }
+            None => unreachable!("the sorted scan embeds histograms"),
         }
     }
 
@@ -429,10 +614,15 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         cb: &Blurs<D>,
     ) -> usize {
         match (&self.hists, qh, qb, cb) {
-            (Hists::Grid(h), QueryHists::Grid(q), Blurs::Grid(qb), Blurs::Grid(cb)) => {
+            (Some(Hists::Grid(h)), QueryHists::Grid(q), Blurs::Grid(qb), Blurs::Grid(cb)) => {
                 histogram_distance_quick_blurred(q, qb, &h[id], cb)
             }
-            (Hists::PerDim(h), QueryHists::PerDim(q), Blurs::PerDim(qb), Blurs::PerDim(cb)) => q
+            (
+                Some(Hists::PerDim(h)),
+                QueryHists::PerDim(q),
+                Blurs::PerDim(qb),
+                Blurs::PerDim(cb),
+            ) => q
                 .iter()
                 .zip(qb)
                 .zip(h[id].iter().zip(cb))
@@ -443,9 +633,11 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         }
     }
 
-    /// Embeds one query with the engine's configured histogram variant.
-    fn query_hists(&self, query: &Trajectory<D>) -> QueryHists<D> {
-        match self.config.histogram {
+    /// Embeds one query with the engine's histogram variant, when the
+    /// engine has histograms.
+    fn query_hists(&self, query: &Trajectory<D>) -> Option<QueryHists<D>> {
+        self.hists.as_ref()?;
+        Some(match self.config.histogram {
             HistogramVariant::Grid { delta } => {
                 QueryHists::Grid(TrajectoryHistogram::build_coarse(query, self.eps, delta))
             }
@@ -454,11 +646,99 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                     .map(|dim| TrajectoryHistogram::<D>::build_projected(query, self.eps, dim))
                     .collect(),
             ),
+        })
+    }
+
+    /// The query's sorted q-gram means, when the engine has a q-gram
+    /// filter.
+    fn query_means(&self, query: &Trajectory<D>) -> Option<SortedMeans<D>> {
+        self.qgrams
+            .as_ref()
+            .map(|_| SortedMeans::build(query, self.config.qgram_q))
+    }
+
+    /// The merge-join count of the query's q-gram means with an ε-match
+    /// in trajectory `id` — Theorem 1's `v`.
+    fn qgram_matches(&self, q_means: Option<&SortedMeans<D>>, id: usize) -> usize {
+        match (q_means, &self.qgrams) {
+            (Some(q), Some(db)) => q.match_count(&db[id], self.eps),
+            _ => unreachable!("q-gram means exist wherever the q-gram filter runs"),
         }
     }
 
-    /// The shared-work batched combined scan behind
-    /// [`KnnEngine::knn_batch`] — one dataset traversal feeds N queries.
+    /// Theorem 5's bound `EDR(Q,S) ≥ EDR(Q,R) − EDR(R,S) − |S|`: true iff
+    /// some reference `(R, EDR(Q,R))` in `refs` lower-bounds candidate
+    /// `id` (of length `s_len`) above `best`.
+    fn triangle_prunes(
+        &self,
+        refs: &[(usize, usize)],
+        id: usize,
+        s_len: usize,
+        best: usize,
+    ) -> bool {
+        refs.iter().any(|&(r, dist_qr)| {
+            dist_qr as i64 - self.pmatrix[r][id] as i64 - s_len as i64 > best as i64
+        })
+    }
+
+    /// True iff candidate `id` joins a reference pool that already holds
+    /// `refs` references once its exact distance is known (the paper's
+    /// dynamic strategy: the first `max_triangle` pmatrix rows whose true
+    /// distance gets computed).
+    fn joins_pool(&self, id: usize, refs: usize) -> bool {
+        id < self.pmatrix.len() && refs < self.config.max_triangle
+    }
+
+    /// One (query, candidate) pair of the batched scan through the
+    /// configured filters; true iff one of them prunes the candidate.
+    ///
+    /// The quick table and the sorted prefix are the batched path's
+    /// histogram stage: the exact max-flow bound costs about as much as a
+    /// bounded refine and rarely prunes beyond the quick bound, so the
+    /// batched scan skips it — sound, as a skipped filter only sends more
+    /// candidates to the early-abandoning refine.
+    fn batch_filters(
+        &self,
+        c: &mut BatchCounters,
+        id: usize,
+        query_len: usize,
+        best: usize,
+        refs: &[(usize, usize)],
+        qgram_count: impl Fn() -> usize,
+    ) -> bool {
+        let s_len = self.arena.len_of(id);
+        for filter in self.config.order.filters() {
+            match filter {
+                Filter::Histogram => {}
+                Filter::Qgram => {
+                    c.q_in += 1;
+                    if !passes_count_filter(
+                        qgram_count(),
+                        query_len,
+                        s_len,
+                        self.config.qgram_q,
+                        best,
+                    ) {
+                        c.pruned_q += 1;
+                        return true;
+                    }
+                    c.q_out += 1;
+                }
+                Filter::NearTriangle => {
+                    c.t_in += 1;
+                    if self.triangle_prunes(refs, id, s_len, best) {
+                        c.pruned_t += 1;
+                        return true;
+                    }
+                    c.t_out += 1;
+                }
+            }
+        }
+        false
+    }
+
+    /// The shared-work batched scan behind [`KnnEngine::knn_batch`] for
+    /// the HSR configurations — one dataset traversal feeds N queries.
     ///
     /// Phases:
     ///
@@ -484,57 +764,42 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     ///    candidate's quick bound is at least as large, and the k-th
     ///    best only ever tightens.
     /// 4. **Chunk scan** (parallel over candidate chunks, per-worker
-    ///    [`EdrWorkspace`]): per candidate, the signature refs (arena
-    ///    block, sorted q-gram means, length, pmatrix column index) are
-    ///    loaded once; the inner loop over the still-open queries prunes
-    ///    with the quick table, then the configured filter order, and
-    ///    refines survivors with early-abandoning EDR under
-    ///    `min(shared, local)` bounds. Triangle references start from
-    ///    the prefix scan's pool and grow chunk-locally — sound but
-    ///    possibly weaker than the per-query engine's pool, which shifts
-    ///    prune *credit* between filters, never the answer.
+    ///    [`EdrWorkspace`]): per candidate, the arena block is loaded
+    ///    once; the inner loop over the still-open queries prunes with
+    ///    the quick table, then the configured filter order, and refines
+    ///    survivors with early-abandoning EDR under `min(shared, local)`
+    ///    bounds. Triangle references start from the prefix scan's pool
+    ///    and grow chunk-locally — sound but possibly weaker than the
+    ///    per-query engine's pool, which shifts prune *credit* between
+    ///    filters, never the answer.
     /// 5. **Merge**: per query, the prefix and chunk partial top-k lists
     ///    merge by `(dist, id)`.
     ///
-    /// Every filter is a sound lower bound and early abandoning only
-    /// drops candidates that provably cannot enter the top-k, so the
-    /// returned distances are identical to per-query [`KnnEngine::knn`]'s
-    /// (ids may permute among equal distances); per-filter credit and
-    /// `dp_cells` may legitimately differ.
+    /// The prefix and chunk scans share one filter step
+    /// ([`Self::batch_filters`]). Every filter is a sound lower bound and
+    /// early abandoning only drops candidates that provably cannot enter
+    /// the top-k, so the returned distances are identical to per-query
+    /// [`KnnEngine::knn`]'s (ids may permute among equal distances);
+    /// per-filter credit and `dp_cells` may legitimately differ.
     fn knn_batch_scan(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult> {
         let t_batch = Instant::now();
         let nq = queries.len();
         let n = self.dataset.len();
-        let qhs: Vec<QueryHists<D>> = queries.iter().map(|q| self.query_hists(q)).collect();
-        let q_blurs: Vec<Blurs<D>> = qhs.iter().map(Blurs::of_query).collect();
-        let q_means: Vec<SortedMeans<D>> = queries
+        let qhs: Vec<QueryHists<D>> = queries
             .iter()
-            .map(|q| SortedMeans::build(q, self.config.qgram_q))
+            .map(|q| {
+                self.query_hists(q)
+                    .expect("the sorted scan embeds histograms")
+            })
             .collect();
+        let q_blurs: Vec<Blurs<D>> = qhs.iter().map(Blurs::of_query).collect();
+        let q_means: Vec<Option<SortedMeans<D>>> =
+            queries.iter().map(|q| self.query_means(q)).collect();
         let batch = BatchContext::new(queries, self.eps);
         let setup_ns = elapsed_ns(t_batch);
         let threads = trajsim_parallel::num_threads().min(n.max(1));
         let chunk_len = n.div_ceil(threads * 4).max(k).max(1);
         let max_pair = self.arena.max_len().max(batch.max_query_len());
-        let filters = self.config.order.filters();
-
-        #[derive(Clone, Copy, Default)]
-        struct BatchCounters {
-            refine: Refine,
-            pruned_h: usize,
-            pruned_q: usize,
-            pruned_t: usize,
-            h_in: usize,
-            h_out: usize,
-            q_in: usize,
-            q_out: usize,
-            t_in: usize,
-            t_out: usize,
-        }
-        let timed_counters = || BatchCounters {
-            refine: Refine::timed(),
-            ..BatchCounters::default()
-        };
 
         // Phase 2: candidate-major quick-bound table `quick[id * nq + qi]`.
         //
@@ -575,7 +840,8 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                         quick[c.id as usize * nq + qi] = c.lower_bound as usize;
                     }
                     let mut counts = Vec::new();
-                    index.qgram.probe(&q_means[qi], &mut scratch, &mut counts);
+                    let means = q_means[qi].as_ref().expect("an indexed engine has q-grams");
+                    index.qgram.probe(means, &mut scratch, &mut counts);
                     counts_per_q.push(counts);
                 }
                 (quick, Some(counts_per_q))
@@ -609,7 +875,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                     .binary_search_by_key(&(id as u32), |&(cid, _)| cid)
                     .map(|i| counts[qi][i].1 as usize)
                     .unwrap_or(0),
-                None => q_means[qi].match_count(&self.qgrams[id], self.eps),
+                None => self.qgram_matches(q_means[qi].as_ref(), id),
             }
         };
 
@@ -640,79 +906,33 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                 let mut rs = ResultSet::new(k);
                 let mut seeded = vec![0u64; n.div_ceil(64)];
                 let mut refs: Vec<(usize, usize)> = Vec::new();
-                let mut c = timed_counters();
+                let mut c = BatchCounters::timed();
                 let mut done = false;
                 let ctx = batch.ctx(qi);
-                'prefix: for (rank, &id) in order.iter().enumerate() {
+                for (rank, &id) in order.iter().enumerate() {
                     let best = rs.best_so_far();
-                    if best != usize::MAX {
-                        if col(id) > best {
-                            // Sorted break-out: the prefix holds the n
-                            // smallest quick bounds, so every unvisited
-                            // candidate — inside or beyond the prefix —
-                            // is at least this far away.
-                            c.pruned_h += n - rank;
-                            done = true;
-                            break 'prefix;
-                        }
-                        for filter in &filters {
-                            let pruned = match filter {
-                                // The quick table and the sorted prefix are
-                                // the batch path's histogram stage; the
-                                // exact max-flow HD costs about as much as
-                                // a bounded refine and rarely prunes beyond
-                                // the quick bound, so the batched scan
-                                // skips it — sound, as a skipped filter
-                                // only sends more candidates to the
-                                // early-abandoning refine.
-                                Filter::Histogram => false,
-                                Filter::Qgram => {
-                                    c.q_in += 1;
-                                    let v = qgram_count(qi, id);
-                                    if !passes_count_filter(
-                                        v,
-                                        ctx.len(),
-                                        self.arena.len_of(id),
-                                        self.config.qgram_q,
-                                        best,
-                                    ) {
-                                        c.pruned_q += 1;
-                                        true
-                                    } else {
-                                        c.q_out += 1;
-                                        false
-                                    }
-                                }
-                                Filter::NearTriangle => {
-                                    c.t_in += 1;
-                                    let s_len = self.arena.len_of(id);
-                                    let lower = refs
-                                        .iter()
-                                        .map(|&(r, dqr)| {
-                                            dqr as i64 - self.pmatrix[r][id] as i64 - s_len as i64
-                                        })
-                                        .max();
-                                    if matches!(lower, Some(l) if l > best as i64) {
-                                        c.pruned_t += 1;
-                                        true
-                                    } else {
-                                        c.t_out += 1;
-                                        false
-                                    }
-                                }
-                            };
-                            if pruned {
-                                seeded[id / 64] |= 1 << (id % 64);
-                                continue 'prefix;
-                            }
-                        }
+                    if best != usize::MAX && col(id) > best {
+                        // Sorted break-out: the prefix holds the n
+                        // smallest quick bounds, so every unvisited
+                        // candidate — inside or beyond the prefix — is
+                        // at least this far away.
+                        c.pruned_h += n - rank;
+                        done = true;
+                        break;
                     }
                     seeded[id / 64] |= 1 << (id % 64);
+                    if best != usize::MAX
+                        && self.batch_filters(&mut c, id, ctx.len(), best, &refs, || {
+                            qgram_count(qi, id)
+                        })
+                    {
+                        continue;
+                    }
                     let d = c
                         .refine
                         .step(ctx, id, self.arena.view(id), best, &mut rs, ws);
                     if let Some(d) = d {
-                        if id < self.pmatrix.len() && refs.len() < self.config.max_triangle {
+                        if self.joins_pool(id, refs.len()) {
                             refs.push((id, d));
                         }
                     }
@@ -739,16 +959,15 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
             || EdrWorkspace::with_capacity(max_pair),
             |ws, range| {
                 let mut locals: Vec<ResultSet> = (0..nq).map(|_| ResultSet::new(k)).collect();
-                let mut counters = vec![timed_counters(); nq];
+                let mut counters = vec![BatchCounters::timed(); nq];
                 // Triangle pools start from the prefix scan's exact
                 // distances and grow chunk-locally.
                 let mut refs: Vec<Vec<(usize, usize)>> =
                     seeds.iter().map(|s| s.refs.clone()).collect();
                 for id in range {
-                    // The candidate's signature, loaded once per batch.
+                    // The candidate's arena block, loaded once per batch.
                     let s_view = self.arena.view(id);
-                    let s_len = self.arena.len_of(id);
-                    'queries: for qi in 0..nq {
+                    for qi in 0..nq {
                         if seeds[qi].done || seeds[qi].seeded[id / 64] >> (id % 64) & 1 == 1 {
                             continue; // settled or visited in the prefix scan
                         }
@@ -760,52 +979,11 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                                 c.pruned_h += 1;
                                 continue;
                             }
-                            for filter in filters {
-                                let pruned = match filter {
-                                    // Skipped in the batched scan for the
-                                    // same reason as in the prefix scan:
-                                    // the quick table already played the
-                                    // histogram stage's part.
-                                    Filter::Histogram => false,
-                                    Filter::Qgram => {
-                                        c.q_in += 1;
-                                        let v = qgram_count(qi, id);
-                                        if !passes_count_filter(
-                                            v,
-                                            batch.ctx(qi).len(),
-                                            s_len,
-                                            self.config.qgram_q,
-                                            best,
-                                        ) {
-                                            c.pruned_q += 1;
-                                            true
-                                        } else {
-                                            c.q_out += 1;
-                                            false
-                                        }
-                                    }
-                                    Filter::NearTriangle => {
-                                        c.t_in += 1;
-                                        let lower = refs[qi]
-                                            .iter()
-                                            .map(|&(r, dqr)| {
-                                                dqr as i64
-                                                    - self.pmatrix[r][id] as i64
-                                                    - s_len as i64
-                                            })
-                                            .max();
-                                        if matches!(lower, Some(l) if l > best as i64) {
-                                            c.pruned_t += 1;
-                                            true
-                                        } else {
-                                            c.t_out += 1;
-                                            false
-                                        }
-                                    }
-                                };
-                                if pruned {
-                                    continue 'queries;
-                                }
+                            let q_len = batch.ctx(qi).len();
+                            if self.batch_filters(c, id, q_len, best, &refs[qi], || {
+                                qgram_count(qi, id)
+                            }) {
+                                continue;
                             }
                         }
                         let d = c.refine.step(batch.ctx(qi), id, s_view, best, local, ws);
@@ -813,8 +991,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                             // `d` is exact (early abandoning returned a
                             // value), so it can join this worker's
                             // triangle reference pool.
-                            if id < self.pmatrix.len() && refs[qi].len() < self.config.max_triangle
-                            {
+                            if self.joins_pool(id, refs[qi].len()) {
                                 refs[qi].push((id, d));
                             }
                             batch.tighten(qi, local.best_so_far());
@@ -848,8 +1025,6 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                     stats.pruned_by_histogram += c.pruned_h;
                     stats.pruned_by_qgram += c.pruned_q;
                     stats.pruned_by_triangle += c.pruned_t;
-                    stats.timings.histogram.candidates_in += c.h_in;
-                    stats.timings.histogram.candidates_out += c.h_out;
                     stats.timings.qgram.candidates_in += c.q_in;
                     stats.timings.qgram.candidates_out += c.q_out;
                     stats.timings.triangle.candidates_in += c.t_in;
@@ -885,8 +1060,8 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
 impl<const D: usize> CandidateSource<D> for CombinedKnn<'_, D> {
     fn generate(&self, query: &Trajectory<D>) -> CandidateBatch {
         let qh = self.query_hists(query);
-        let q_means = SortedMeans::build(query, self.config.qgram_q);
-        self.generate_candidates(query.len(), &qh, &q_means)
+        let q_means = self.query_means(query);
+        self.generate_candidates(query.len(), qh.as_ref(), q_means.as_ref())
     }
 
     fn source_name(&self) -> &'static str {
@@ -902,7 +1077,7 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
     fn knn(&self, query: &Trajectory<D>, k: usize) -> KnnResult {
         let t_query = Instant::now();
         let qh = self.query_hists(query);
-        let q_means = SortedMeans::build(query, self.config.qgram_q);
+        let q_means = self.query_means(query);
         // Query side of the refine stage, transposed once into SoA
         // columns; candidates stream from the columnar arena.
         let ctx = QueryContext::from_trajectory(query, self.eps);
@@ -913,118 +1088,100 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
         stats.timings.setup_ns = elapsed_ns(t_query);
         let mut result = ResultSet::new(k);
         let mut references: Vec<(usize, usize)> = Vec::new();
-        let filters = self.config.order.filters();
-        // The combination uses the HSR scan the §5.3 study selected:
-        // candidates are visited in ascending order of their histogram
+        let sorted = self.config.scan == ScanMode::Sorted;
+        // HSR visits candidates in ascending order of their histogram
         // lower bound, regardless of the filter order, so the k-th-best
         // distance tightens as fast as possible and — because the visit
         // sequence is shared — all six filter orders prune the same
-        // candidate set.
+        // candidate set. HSE visits them in database order.
         //
         // Stage accounting: candidate generation (quick bounds or index
         // probes, plus the sort) is charged to the histogram filter's
         // time; each stage's candidates_in/out count its per-candidate
-        // evaluations, so sorted break-out prunes — and candidates the
-        // index settled exactly without a refine — appear in
+        // evaluations, so quick-bound prunes — and candidates the index
+        // settled exactly without a refine — appear in
         // `pruned_by_histogram` but not in the histogram stage's
         // candidate flow.
         let t_filter = Instant::now();
-        let generated = self.generate_candidates(query.len(), &qh, &q_means);
-        stats.timings.histogram.filter_ns += elapsed_ns(t_filter);
+        let generated = self.generate_candidates(query.len(), qh.as_ref(), q_means.as_ref());
+        if qh.is_some() {
+            stats.timings.histogram.filter_ns += elapsed_ns(t_filter);
+        }
         // One borrow of the thread's EDR workspace around the whole
         // candidate loop: every refine below reuses the same scratch.
         let mut refine = Refine::timed();
         with_workspace(|ws| {
             'candidates: for (rank, cand) in generated.candidates.iter().enumerate() {
                 let id = cand.id;
-                let s = &self.dataset.trajectories()[id];
+                let s_len = self.arena.len_of(id);
                 let best = result.best_so_far();
                 if best != usize::MAX && cand.lower_bound > best {
-                    // Sorted scan break-out: every remaining lower bound
-                    // is at least this one.
-                    stats.pruned_by_histogram += generated.candidates.len() - rank;
-                    break;
+                    if sorted {
+                        // Sorted scan break-out: every remaining lower
+                        // bound is at least this one.
+                        stats.pruned_by_histogram += generated.candidates.len() - rank;
+                        break;
+                    }
+                    stats.pruned_by_histogram += 1;
+                    continue;
                 }
                 if cand.exact {
                     // The index proved `lower_bound` *is* the EDR: no
                     // cascade, no refine — offer it outright (it also
                     // makes a sound triangle reference).
                     stats.pruned_by_histogram += 1;
-                    if id < self.pmatrix.len() && references.len() < self.config.max_triangle {
+                    if self.joins_pool(id, references.len()) {
                         references.push((id, cand.lower_bound));
                     }
                     result.offer(id, cand.lower_bound);
                     continue;
                 }
                 if best != usize::MAX {
-                    for filter in filters {
-                        let pruned = match filter {
+                    for filter in self.config.order.filters() {
+                        let (stage, pruned_by) = match filter {
                             Filter::Histogram => {
-                                stats.timings.histogram.candidates_in += 1;
-                                let t = Instant::now();
-                                let prune = self.histogram_exact(&qh, id) > best;
-                                stats.timings.histogram.filter_ns += elapsed_ns(t);
-                                if prune {
-                                    stats.pruned_by_histogram += 1;
-                                    true
-                                } else {
-                                    stats.timings.histogram.candidates_out += 1;
-                                    false
-                                }
+                                (&mut stats.timings.histogram, &mut stats.pruned_by_histogram)
                             }
-                            Filter::Qgram => {
-                                stats.timings.qgram.candidates_in += 1;
-                                let t = Instant::now();
-                                // The index probe's count upper bound
-                                // replaces the merge join when present.
-                                let v = match cand.qgram_count_ub {
-                                    Some(v) => v,
-                                    None => q_means.match_count(&self.qgrams[id], self.eps),
-                                };
-                                let prune = !passes_count_filter(
-                                    v,
-                                    query.len(),
-                                    s.len(),
-                                    self.config.qgram_q,
-                                    best,
-                                );
-                                stats.timings.qgram.filter_ns += elapsed_ns(t);
-                                if prune {
-                                    stats.pruned_by_qgram += 1;
-                                    true
-                                } else {
-                                    stats.timings.qgram.candidates_out += 1;
-                                    false
-                                }
-                            }
+                            Filter::Qgram => (&mut stats.timings.qgram, &mut stats.pruned_by_qgram),
                             Filter::NearTriangle => {
-                                stats.timings.triangle.candidates_in += 1;
-                                let t = Instant::now();
-                                let lower = references
-                                    .iter()
-                                    .map(|&(r, dist_qr)| {
-                                        dist_qr as i64 - self.pmatrix[r][id] as i64 - s.len() as i64
-                                    })
-                                    .max();
-                                let prune = matches!(lower, Some(l) if l > best as i64);
-                                stats.timings.triangle.filter_ns += elapsed_ns(t);
-                                if prune {
-                                    stats.pruned_by_triangle += 1;
-                                    true
-                                } else {
-                                    stats.timings.triangle.candidates_out += 1;
-                                    false
-                                }
+                                (&mut stats.timings.triangle, &mut stats.pruned_by_triangle)
                             }
                         };
-                        if pruned {
+                        stage.candidates_in += 1;
+                        let t = Instant::now();
+                        let prune = match filter {
+                            Filter::Histogram => {
+                                let qh = qh.as_ref().expect("histogram filter embeds the query");
+                                self.histogram_exact(qh, id) > best
+                            }
+                            Filter::Qgram => {
+                                // The index probe's count upper bound
+                                // replaces the merge join when present.
+                                let v = cand
+                                    .qgram_count_ub
+                                    .unwrap_or_else(|| self.qgram_matches(q_means.as_ref(), id));
+                                !passes_count_filter(
+                                    v,
+                                    query.len(),
+                                    s_len,
+                                    self.config.qgram_q,
+                                    best,
+                                )
+                            }
+                            Filter::NearTriangle => {
+                                self.triangle_prunes(&references, id, s_len, best)
+                            }
+                        };
+                        stage.filter_ns += elapsed_ns(t);
+                        if prune {
+                            *pruned_by += 1;
                             continue 'candidates;
                         }
+                        stage.candidates_out += 1;
                     }
                 }
                 // A reference-pool id needs its exact distance.
-                let joins_pool =
-                    id < self.pmatrix.len() && references.len() < self.config.max_triangle;
+                let joins_pool = self.joins_pool(id, references.len());
                 let bound = if joins_pool { usize::MAX } else { best };
                 let d = refine.step(&ctx, id, self.arena.view(id), bound, &mut result, ws);
                 if let (true, Some(d)) = (joins_pool, d) {
@@ -1070,7 +1227,7 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
     }
 
     fn name(&self) -> String {
-        let label = self.config.order.label(self.config.histogram);
+        let label = self.config.label();
         if self.index.is_some() {
             format!("{label}+art")
         } else {
@@ -1078,11 +1235,14 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
         }
     }
 
+    /// HSR configurations answer a batch through the shared-work scan
+    /// (one dataset pass per batch); HSE configurations, whose visit
+    /// order is per query, answer one query at a time.
     fn knn_batch(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult>
     where
         Self: Sync,
     {
-        if queries.len() <= 1 {
+        if queries.len() <= 1 || self.config.scan == ScanMode::Sequential {
             return trajsim_parallel::par_map(queries, |_, q| self.knn(q, k));
         }
         self.knn_batch_scan(queries, k)
@@ -1102,6 +1262,7 @@ mod tests {
         MatchThreshold::new(v).unwrap()
     }
 
+    /// Random walks of length 1..=max_len.
     fn random_db(seed: u64, n: usize, max_len: usize) -> Dataset<2> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
@@ -1122,6 +1283,39 @@ mod tests {
             .collect()
     }
 
+    /// Uniform random points, lengths drawn from `len_range`.
+    fn scatter_db(seed: u64, n: usize, len_range: (usize, usize)) -> Dataset<2> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let len = rng.gen_range(len_range.0..=len_range.1);
+                Trajectory2::from_xy(
+                    &(0..len)
+                        .map(|_| (rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect()
+    }
+
+    /// Every histogram-only configuration: 2HE..2H4E and 1HE × HSE/HSR.
+    fn histogram_configs() -> Vec<CombinedConfig> {
+        let mut out = Vec::new();
+        for scan in [ScanMode::Sequential, ScanMode::Sorted] {
+            for delta in 1..=4 {
+                out.push(CombinedConfig::histogram_only(
+                    HistogramVariant::Grid { delta },
+                    scan,
+                ));
+            }
+            out.push(CombinedConfig::histogram_only(
+                HistogramVariant::PerDimension,
+                scan,
+            ));
+        }
+        out
+    }
+
     #[test]
     fn all_orders_match_sequential_scan_with_equal_pruning_power() {
         let db = random_db(1, 60, 18);
@@ -1133,8 +1327,8 @@ mod tests {
             let config = CombinedConfig {
                 order,
                 histogram: HistogramVariant::Grid { delta: 1 },
-                qgram_q: 1,
                 max_triangle: 20,
+                ..CombinedConfig::default()
             };
             let engine = CombinedKnn::build(&db, e, config);
             let r = engine.knn(&query, 5);
@@ -1156,8 +1350,8 @@ mod tests {
             let config = CombinedConfig {
                 order,
                 histogram: HistogramVariant::Grid { delta: 1 },
-                qgram_q: 1,
                 max_triangle: 20,
+                ..CombinedConfig::default()
             };
             CombinedKnn::build(&db, e, config).knn(&query, 5).stats
         };
@@ -1175,11 +1369,7 @@ mod tests {
         let db = random_db(5, 40, 15);
         let query = random_db(6, 1, 15).trajectories()[0].clone();
         let e = eps(0.5);
-        let config = CombinedConfig {
-            histogram: HistogramVariant::PerDimension,
-            ..CombinedConfig::default()
-        };
-        let engine = CombinedKnn::build(&db, e, config);
+        let engine = CombinedKnn::build(&db, e, CombinedConfig::default());
         assert_eq!(engine.name(), "1HPN");
         let truth = SequentialScan::new(&db, e).knn(&query, 4);
         assert_eq!(engine.knn(&query, 4).distances(), truth.distances());
@@ -1198,6 +1388,240 @@ mod tests {
         assert_eq!(
             PruneOrder::HQN.label(HistogramVariant::PerDimension),
             "1HPN"
+        );
+        let db = random_db(5, 3, 5);
+        let name = |config| CombinedKnn::build(&db, eps(0.5), config).name();
+        let hist = CombinedConfig::histogram_only;
+        assert_eq!(
+            name(hist(HistogramVariant::Grid { delta: 1 }, ScanMode::Sorted)),
+            "2HE-HSR"
+        );
+        assert_eq!(
+            name(hist(
+                HistogramVariant::Grid { delta: 3 },
+                ScanMode::Sequential
+            )),
+            "2H3E-HSE"
+        );
+        assert_eq!(
+            name(hist(HistogramVariant::PerDimension, ScanMode::Sorted)),
+            "1HE-HSR"
+        );
+        assert_eq!(name(CombinedConfig::near_triangle_only(2)), "NTR(maxT=2)");
+        // A scan other than the paper's default for the order is spelled
+        // out.
+        let sequential = CombinedConfig {
+            scan: ScanMode::Sequential,
+            ..CombinedConfig::default()
+        };
+        assert_eq!(name(sequential), "1HPN-HSE");
+        let sorted_ntr = CombinedConfig {
+            scan: ScanMode::Sorted,
+            ..CombinedConfig::near_triangle_only(2)
+        };
+        assert_eq!(name(sorted_ntr), "NTR(maxT=2)-HSR");
+    }
+
+    #[test]
+    fn every_configuration_builds_only_what_its_order_names() {
+        let db = random_db(8, 12, 10);
+        let e = eps(0.5);
+        let built = |config| {
+            let engine = CombinedKnn::build(&db, e, config);
+            (
+                engine.hists.is_some(),
+                engine.qgrams.is_some(),
+                engine.pmatrix.len(),
+            )
+        };
+        let hsr = CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted);
+        assert_eq!(built(hsr), (true, false, 0));
+        let ntr = CombinedConfig::near_triangle_only(5);
+        assert_eq!(built(ntr), (false, false, 5));
+        // A sorted scan needs the quick bounds, whatever the order.
+        let sorted_ntr = CombinedConfig {
+            scan: ScanMode::Sorted,
+            ..ntr
+        };
+        assert_eq!(built(sorted_ntr), (true, false, 5));
+        assert_eq!(built(CombinedConfig::default()), (true, true, 12));
+    }
+
+    #[test]
+    fn every_histogram_configuration_matches_sequential_scan() {
+        let db = random_db(1, 50, 18);
+        let query = random_db(2, 1, 18).trajectories()[0].clone();
+        let e = eps(0.7);
+        let truth = SequentialScan::new(&db, e).knn(&query, 5);
+        for config in histogram_configs() {
+            let engine = CombinedKnn::build(&db, e, config);
+            assert_eq!(
+                engine.knn(&query, 5).distances(),
+                truth.distances(),
+                "{} diverged",
+                engine.name()
+            );
+        }
+    }
+
+    #[test]
+    fn sorted_scan_prunes_at_least_as_much_as_sequential() {
+        let db = random_db(3, 80, 20);
+        let query = db.trajectories()[5].clone();
+        let e = eps(0.5);
+        let grid = HistogramVariant::Grid { delta: 1 };
+        let hse = CombinedKnn::build(
+            &db,
+            e,
+            CombinedConfig::histogram_only(grid, ScanMode::Sequential),
+        );
+        let hsr = CombinedKnn::build(
+            &db,
+            e,
+            CombinedConfig::histogram_only(grid, ScanMode::Sorted),
+        );
+        let (a, b) = (hse.knn(&query, 5), hsr.knn(&query, 5));
+        assert_eq!(a.distances(), b.distances());
+        assert!(
+            b.stats.pruning_power() >= a.stats.pruning_power(),
+            "HSR {} < HSE {}",
+            b.stats.pruning_power(),
+            a.stats.pruning_power()
+        );
+    }
+
+    #[test]
+    fn finer_bins_prune_at_least_as_much_as_coarse() {
+        let db = random_db(4, 80, 20);
+        let query = db.trajectories()[7].clone();
+        let e = eps(0.5);
+        let run = |delta| {
+            let config =
+                CombinedConfig::histogram_only(HistogramVariant::Grid { delta }, ScanMode::Sorted);
+            CombinedKnn::build(&db, e, config).knn(&query, 5)
+        };
+        let (fine, coarse) = (run(1), run(4));
+        assert_eq!(fine.distances(), coarse.distances());
+        assert!(fine.stats.pruning_power() >= coarse.stats.pruning_power());
+    }
+
+    #[test]
+    #[should_panic(expected = "positive epsilon")]
+    fn zero_epsilon_panics_where_histograms_are_built() {
+        let db = random_db(6, 3, 5);
+        let config =
+            CombinedConfig::histogram_only(HistogramVariant::Grid { delta: 1 }, ScanMode::Sorted);
+        let _ = CombinedKnn::build(&db, eps(0.0), config);
+    }
+
+    #[test]
+    fn near_triangle_matches_sequential_scan_even_at_zero_epsilon() {
+        let db = scatter_db(1, 50, (2, 30));
+        let query = scatter_db(2, 1, (2, 30)).trajectories()[0].clone();
+        for e in [eps(0.5), eps(0.0)] {
+            let engine = CombinedKnn::build(&db, e, CombinedConfig::near_triangle_only(10));
+            let truth = SequentialScan::new(&db, e).knn(&query, 5);
+            assert_eq!(engine.knn(&query, 5).distances(), truth.distances());
+        }
+    }
+
+    #[test]
+    fn near_triangle_prunes_on_variable_length_databases() {
+        // The bound EDR(Q,R) − EDR(R,S) − |S| is at most EDR(Q,R) − |R|
+        // (because EDR(R,S) >= |R| − |S|), so pruning needs references
+        // *shorter* than the query that are far from it, plus candidates
+        // close to those references while the query has close long
+        // neighbours. Build exactly that:
+        let line = |base: f64, len: usize| {
+            Trajectory2::from_xy(
+                &(0..len)
+                    .map(|i| (base + i as f64 * 0.1, base))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let mut trajs = Vec::new();
+        // 10 short references at location B (far from the query at A).
+        for i in 0..10 {
+            trajs.push(line(500.0 + i as f64 * 0.01, 4));
+        }
+        // 5 long trajectories at A: the query's true neighbours.
+        for i in 0..5 {
+            trajs.push(line(i as f64 * 0.01, 50));
+        }
+        // 50 short candidates clustered with the references at B.
+        for i in 0..50 {
+            trajs.push(line(500.0 + i as f64 * 0.01, 4));
+        }
+        let db = Dataset::new(trajs);
+        let query = line(0.0, 50);
+        let e = eps(0.5);
+        let engine = CombinedKnn::build(&db, e, CombinedConfig::near_triangle_only(10));
+        let r = engine.knn(&query, 3);
+        // Lower bound for a B-cluster candidate: 50 − small − 4 >> best
+        // (≈ 0 from the A-cluster neighbours) — most of B gets pruned.
+        assert!(
+            r.stats.pruned_by_triangle >= 40,
+            "expected heavy triangle pruning, got {}",
+            r.stats.pruned_by_triangle
+        );
+        let truth = SequentialScan::new(&db, e).knn(&query, 3);
+        assert_eq!(r.distances(), truth.distances());
+    }
+
+    #[test]
+    fn near_triangle_cannot_prune_equal_length_databases() {
+        // §4.2: "if all the trajectories have the same length, applying
+        // near triangle inequality will not remove any false candidates"
+        // — the lower bound EDR(Q,R) − EDR(R,S) − |S| is at most
+        // max(...) − |S| <= 0 < any distance. Verify no pruning happens.
+        let db = scatter_db(4, 40, (12, 12));
+        let query = scatter_db(5, 1, (12, 12)).trajectories()[0].clone();
+        let engine = CombinedKnn::build(&db, eps(0.5), CombinedConfig::near_triangle_only(20));
+        let r = engine.knn(&query, 3);
+        assert_eq!(r.stats.pruned_by_triangle, 0);
+        assert_eq!(r.stats.edr_computed, 40);
+    }
+
+    #[test]
+    fn near_triangle_without_references_is_the_scan() {
+        let db = scatter_db(6, 20, (2, 20));
+        let query = db.trajectories()[1].clone();
+        let e = eps(0.5);
+        let engine = CombinedKnn::build(&db, e, CombinedConfig::near_triangle_only(0));
+        let truth = SequentialScan::new(&db, e).knn(&query, 4);
+        let r = engine.knn(&query, 4);
+        assert_eq!(r.distances(), truth.distances());
+        assert_eq!(r.stats.edr_computed, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per reference")]
+    fn bad_pmatrix_shape_panics() {
+        let db = scatter_db(7, 5, (2, 5));
+        let _ = CombinedKnn::with_pmatrix(
+            &db,
+            eps(0.5),
+            CombinedConfig::near_triangle_only(3),
+            vec![vec![0; 5]],
+        );
+    }
+
+    #[test]
+    fn build_pmatrix_rows_are_true_distances() {
+        let db = scatter_db(9, 12, (1, 9));
+        let e = eps(0.5);
+        let pm = build_pmatrix(&TrajectoryArena::from_dataset(&db), e, 5);
+        assert_eq!(pm.len(), 5);
+        for (r, row) in pm.iter().enumerate() {
+            let truth = SequentialScan::new(&db, e).knn(&db.trajectories()[r], db.len());
+            for n in truth.neighbors {
+                assert_eq!(row[n.id], n.dist, "pmatrix[{r}][{}]", n.id);
+            }
+        }
+        // The pool is capped at the database size.
+        assert_eq!(
+            build_pmatrix(&TrajectoryArena::from_dataset(&db), e, 99).len(),
+            12
         );
     }
 
@@ -1276,6 +1700,7 @@ mod tests {
                     histogram: HistogramVariant::Grid { delta },
                     qgram_q: 2,
                     max_triangle: 8,
+                    ..CombinedConfig::default()
                 };
                 let engine = CombinedKnn::build(&db, e, config);
                 prop_assert_eq!(
@@ -1284,6 +1709,52 @@ mod tests {
                     "order {:?}", order
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// No false dismissals across histogram variants, scans, seeds,
+        /// and k.
+        #[test]
+        fn histogram_only_has_no_false_dismissals(
+            seed in 0u64..1000,
+            k in 1usize..6,
+            e in 0.2..2.0f64,
+        ) {
+            let db = random_db(seed, 25, 14);
+            let query = random_db(seed + 555, 1, 14).trajectories()[0].clone();
+            let e = eps(e);
+            let truth = SequentialScan::new(&db, e).knn(&query, k);
+            for config in histogram_configs() {
+                let engine = CombinedKnn::build(&db, e, config);
+                prop_assert_eq!(
+                    engine.knn(&query, k).distances(),
+                    truth.distances(),
+                    "{} k {}", engine.name(), k
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// No false dismissals for arbitrary databases, pool sizes, k.
+        #[test]
+        fn near_triangle_only_has_no_false_dismissals(
+            seed in 0u64..1000,
+            max_t in 0usize..20,
+            k in 1usize..6,
+            e in 0.1..2.0f64,
+        ) {
+            let db = scatter_db(seed, 25, (1, 18));
+            let query = scatter_db(seed + 31337, 1, (1, 18)).trajectories()[0].clone();
+            let e = eps(e);
+            let truth = SequentialScan::new(&db, e).knn(&query, k);
+            let engine = CombinedKnn::build(&db, e, CombinedConfig::near_triangle_only(max_t));
+            prop_assert_eq!(engine.knn(&query, k).distances(), truth.distances());
         }
     }
 }

@@ -95,7 +95,7 @@ pub struct CseKnn<'a, const D: usize> {
     max_references: usize,
     constant: i64,
     /// Reference rows of the pairwise matrix, as in
-    /// [`crate::NearTriangleKnn`].
+    /// the near-triangle configuration of [`crate::CombinedKnn`].
     pmatrix: Vec<Vec<usize>>,
 }
 

@@ -11,9 +11,17 @@
 //! |---|---|---|
 //! | [`SequentialScan`] | baseline | true EDR for every trajectory |
 //! | [`QgramKnn`] | §4.1, Figs. 7–8 | mean-value q-gram counting (variants PR, PB, PS2, PS1) |
-//! | [`NearTriangleKnn`] | §4.2, Table 3 | the near triangle inequality `EDR(Q,S) >= EDR(Q,R) − EDR(S,R) − |S|` |
-//! | [`HistogramKnn`] | §4.3, Figs. 9–10 | histogram-distance lower bound (variants 1HE/2HE/2HδE × HSE/HSR) |
-//! | [`CombinedKnn`] | §4.4, Figs. 11–13 | the three filters chained in any order |
+//! | [`CombinedKnn`] | §4.2–4.4, Table 3, Figs. 9–13 | the filter cascade, configured by [`CombinedConfig`]: any order of the histogram, q-gram and near-triangle filters, or one of them alone, over an HSE or HSR scan |
+//! | [`cse::CseKnn`] | §4.2 discussion | triangle pruning with a constant-shift-embedded constant |
+//! | [`LcssKnn`] | §4 (mentioned, omitted) | histogram-pruned LCSS retrieval |
+//!
+//! The cascade's single-filter configurations are the paper's other
+//! engines: [`CombinedConfig::near_triangle_only`] is near-triangle
+//! pruning (`EDR(Q,S) >= EDR(Q,R) − EDR(S,R) − |S|`, Table 3, label
+//! `NTR(maxT=M)`), and [`CombinedConfig::histogram_only`] is histogram
+//! pruning (1HE/2HE/2HδE × HSE/HSR, Figs. 9–10). The reference matrix
+//! the triangle filter reads comes from [`build_pmatrix`], built only for
+//! configurations whose order names that filter.
 //!
 //! Every engine implements [`KnnEngine`], returns the same distance
 //! multiset as [`SequentialScan`] (the property tests verify this — the
@@ -40,9 +48,7 @@ mod batch;
 mod candidates;
 mod combined;
 pub mod cse;
-mod histogram_knn;
 mod lcss_knn;
-mod near_triangle;
 mod qgram_knn;
 mod range;
 mod result;
@@ -50,12 +56,12 @@ mod seqscan;
 
 pub use batch::{BATCH_RUNS, BATCH_SHARED_SIGNATURE_EVALS, BATCH_SIZE};
 pub use candidates::{Candidate, CandidateBatch, CandidateSource};
-pub use combined::{CombinedConfig, CombinedKnn, PruneOrder};
-pub use histogram_knn::{HistogramKnn, HistogramVariant, ScanMode};
+pub use combined::{
+    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, PruneOrder, ScanMode,
+};
 pub use lcss_knn::{
     lcss_score_upper_bound, lcss_sequential_scan, LcssKnn, LcssKnnResult, LcssNeighbor,
 };
-pub use near_triangle::NearTriangleKnn;
 pub use qgram_knn::{QgramKnn, QgramVariant};
 pub use range::range_query;
 pub use result::{

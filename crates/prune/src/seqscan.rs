@@ -111,24 +111,14 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
         // The whole scan is refinement: one stopwatch around the loop
         // keeps the instrumentation overhead at two clock reads per query.
         let t_refine = Instant::now();
+        let mut refine = Refine::untimed();
         with_workspace(|ws| {
-            if self.early_abandon {
-                let mut refine = Refine::untimed();
-                for (id, s) in self.arena.views() {
-                    refine.step(ctx, id, s, result.best_so_far(), &mut result, ws);
-                }
-                stats.add_refine(&refine);
-            } else {
-                // The paper's baseline keeps its own loop: a full DP per
-                // trajectory, with nothing else per candidate.
-                for (id, s) in self.arena.views() {
-                    let (d, cells) = ctx.edr_counted(s, ws);
-                    stats.dp_cells += cells;
-                    result.offer(id, d);
-                }
-                stats.edr_computed = self.dataset.len();
+            for (id, s) in self.arena.views() {
+                let bound = self.bound(result.best_so_far());
+                refine.step(ctx, id, s, bound, &mut result, ws);
             }
         });
+        stats.add_refine(&refine);
         stats.timings.refine_ns = elapsed_ns(t_refine);
         KnnResult {
             neighbors: result.into_neighbors(),

@@ -19,7 +19,7 @@ use trajsim_core::{Dataset, MatchThreshold, Trajectory2};
 use trajsim_distance::edr;
 use trajsim_prune::{
     CandidateSource, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder,
-    SequentialScan,
+    ScanMode, SequentialScan,
 };
 use trajsim_qgram::SortedMeans;
 
@@ -60,6 +60,7 @@ fn configs() -> Vec<CombinedConfig> {
             histogram: HistogramVariant::Grid { delta: 2 },
             qgram_q: 1,
             max_triangle: 16,
+            scan: ScanMode::Sorted,
         },
     ]
 }

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajsim_core::{Dataset, MatchThreshold, Trajectory2};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, SequentialScan,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, ScanMode, SequentialScan,
 };
 
 fn eps(v: f64) -> MatchThreshold {
@@ -105,15 +105,20 @@ fn combined_batched_distances_match_per_query_for_every_order() {
     for threads in [1, 4] {
         trajsim_parallel::set_num_threads(threads);
         let _guard = ResetThreads;
-        for order in PruneOrder::ALL {
-            let config = CombinedConfig {
-                order,
-                histogram: HistogramVariant::PerDimension,
-                qgram_q: 1,
-                max_triangle: 16,
-            };
+        let orders = PruneOrder::ALL.iter().map(|&order| CombinedConfig {
+            order,
+            histogram: HistogramVariant::PerDimension,
+            qgram_q: 1,
+            max_triangle: 16,
+            scan: ScanMode::Sorted,
+        });
+        // Histogram pruning alone over the sorted scan (1HE-HSR) takes
+        // the shared batched scan too.
+        let hsr = CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted);
+        for config in orders.chain([hsr]) {
             let engine = CombinedKnn::build(&db, e, config);
-            assert_batch_matches_per_query(&engine, &queries, 5, &format!("{order:?} t={threads}"));
+            let label = format!("{} t={threads}", engine.name());
+            assert_batch_matches_per_query(&engine, &queries, 5, &label);
         }
     }
 }
@@ -131,6 +136,7 @@ fn combined_batched_matches_with_grid_histograms_and_varied_k() {
         histogram: HistogramVariant::Grid { delta: 1 },
         qgram_q: 2,
         max_triangle: 12,
+        scan: ScanMode::Sorted,
     };
     let engine = CombinedKnn::build(&db, e, config);
     for k in [1, 4, 10, 60] {

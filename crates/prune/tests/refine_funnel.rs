@@ -14,8 +14,8 @@ use trajsim_core::{max_std_dev, Dataset, MatchThreshold, Trajectory2};
 use trajsim_data::nhl_like;
 use trajsim_prune::cse::{pairwise_edr_matrix, CseKnn};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramKnn, HistogramVariant, KnnEngine, KnnResult,
-    NearTriangleKnn, PruneOrder, QgramKnn, QgramVariant, ScanMode,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, KnnResult, PruneOrder, QgramKnn,
+    QgramVariant, ScanMode,
 };
 
 const DATABASE: usize = 120;
@@ -136,18 +136,25 @@ fn funnels(db: &Dataset<2>, queries: &[Trajectory2], eps: MatchThreshold) -> Vec
                 histogram,
                 qgram_q: 1,
                 max_triangle: REFERENCES,
+                scan: ScanMode::Sorted,
             };
             let engine = CombinedKnn::with_pmatrix(db, eps, config, pmatrix.clone());
             out.push((engine.name(), funnel(&engine, queries)));
         }
         for mode in [ScanMode::Sequential, ScanMode::Sorted] {
-            let engine = HistogramKnn::build(db, eps, histogram, mode);
+            let engine =
+                CombinedKnn::build(db, eps, CombinedConfig::histogram_only(histogram, mode));
             out.push((engine.name(), funnel(&engine, queries)));
         }
     }
     let qgram = QgramKnn::build(db, eps, 1, QgramVariant::MergeJoin2d);
     out.push((qgram.name(), funnel(&qgram, queries)));
-    let ntr = NearTriangleKnn::from_pmatrix(db, eps, REFERENCES, pmatrix);
+    let ntr = CombinedKnn::with_pmatrix(
+        db,
+        eps,
+        CombinedConfig::near_triangle_only(REFERENCES),
+        pmatrix,
+    );
     out.push((ntr.name(), funnel(&ntr, queries)));
     let cse = CseKnn::from_matrix(db, eps, REFERENCES, full);
     out.push((cse.name(), funnel(&cse, queries)));

@@ -49,8 +49,8 @@ pub mod prelude {
     };
     pub use trajsim_histogram::{histogram_distance, TrajectoryHistogram};
     pub use trajsim_prune::{
-        CombinedKnn, HistogramKnn, KnnEngine, KnnResult, NearTriangleKnn, PruneOrder, QgramKnn,
-        QueryStats, SequentialScan, StageTimings,
+        CombinedConfig, CombinedKnn, KnnEngine, KnnResult, PruneOrder, QgramKnn, QueryStats,
+        SequentialScan, StageTimings,
     };
     pub use trajsim_qgram::{mean_value_qgrams, qgram_count_lower_bound};
 }

@@ -7,8 +7,7 @@ use trajsim::distance::Measure;
 use trajsim::eval;
 use trajsim::prelude::*;
 use trajsim::prune::{
-    range_query, CombinedConfig, HistogramVariant, NearTriangleKnn, PruneOrder, QgramVariant,
-    ScanMode,
+    range_query, CombinedConfig, HistogramVariant, PruneOrder, QgramVariant, ScanMode,
 };
 
 fn small_nhl() -> Dataset<2> {
@@ -44,19 +43,21 @@ fn every_engine_agrees_with_sequential_scan() {
             3,
             QgramVariant::MergeJoin1d { dim: 0 },
         )),
-        Box::new(HistogramKnn::build(
+        Box::new(CombinedKnn::build(
             &db,
             eps,
-            HistogramVariant::Grid { delta: 1 },
-            ScanMode::Sorted,
+            CombinedConfig::histogram_only(HistogramVariant::Grid { delta: 1 }, ScanMode::Sorted),
         )),
-        Box::new(HistogramKnn::build(
+        Box::new(CombinedKnn::build(
             &db,
             eps,
-            HistogramVariant::PerDimension,
-            ScanMode::Sequential,
+            CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sequential),
         )),
-        Box::new(NearTriangleKnn::build(&db, eps, 30)),
+        Box::new(CombinedKnn::build(
+            &db,
+            eps,
+            CombinedConfig::near_triangle_only(30),
+        )),
         Box::new(CombinedKnn::build(
             &db,
             eps,
@@ -73,6 +74,7 @@ fn every_engine_agrees_with_sequential_scan() {
                 histogram: HistogramVariant::Grid { delta: 2 },
                 qgram_q: 2,
                 max_triangle: 10,
+                scan: ScanMode::Sorted,
             },
         )),
     ];
