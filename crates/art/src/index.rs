@@ -54,21 +54,6 @@ fn encode_cells<const D: usize>(buf: &mut Vec<u8>, cells: &[i64; D]) {
     }
 }
 
-/// Calls `f` with each of the `3^D` cells at L∞ distance ≤ 1 from
-/// `base` (including `base` itself) — the dilated neighbourhood any
-/// ε-matching value's cell must fall in.
-fn for_each_neighbour<const D: usize>(base: &[i64; D], mut f: impl FnMut(&[i64; D])) {
-    let total = 3usize.pow(D as u32);
-    let mut cell = [0i64; D];
-    for mut code in 0..total {
-        for d in 0..D {
-            cell[d] = base[d] + (code % 3) as i64 - 1;
-            code /= 3;
-        }
-        f(&cell);
-    }
-}
-
 /// Reusable per-probe scratch: epoch-stamped per-trajectory arrays, so
 /// resetting between probes costs O(ids touched), not O(dataset).
 ///
@@ -218,7 +203,7 @@ impl<const D: usize> QgramArtIndex<D> {
                 *cell = cell_of(p[d], self.eps);
             }
             let gram_epoch = scratch.next_epoch();
-            for_each_neighbour(&base, |cell| {
+            TrajectoryHistogram::<D>::for_each_neighbour(&base, |cell| {
                 encode_cells(&mut scratch.key, cell);
                 let Some(postings) = self.tree.get(&scratch.key, &mut stats) else {
                     return;
@@ -450,7 +435,7 @@ fn capacity_pass<const D: usize>(
     for (cell, mass) in bins {
         let cell_epoch = scratch.next_epoch();
         inner_touched.clear();
-        for_each_neighbour(cell, |neighbour| {
+        TrajectoryHistogram::<D>::for_each_neighbour(cell, |neighbour| {
             encode_cells(&mut scratch.key, neighbour);
             let Some(postings) = tree.get(&scratch.key, stats) else {
                 return;
@@ -492,18 +477,6 @@ mod tests {
 
     fn trajectories(points: &[Vec<(f64, f64)>]) -> Vec<Trajectory2> {
         points.iter().map(|p| Trajectory2::from_xy(p)).collect()
-    }
-
-    #[test]
-    fn neighbour_enumeration_covers_the_full_box() {
-        let mut seen = Vec::new();
-        for_each_neighbour(&[10i64, -3], |c| seen.push(*c));
-        assert_eq!(seen.len(), 9);
-        for dx in -1..=1i64 {
-            for dy in -1..=1i64 {
-                assert!(seen.contains(&[10 + dx, -3 + dy]));
-            }
-        }
     }
 
     #[test]

@@ -11,13 +11,19 @@ use crate::TrajectoryHistogram;
 ///
 /// Computed exactly as `max(|R|, |S|) − M`, where `M` is the **maximum
 /// matching between the full histograms** — element mass of `R` paired
-/// with element mass of `S` whose cells approximately match — found by
-/// max-flow. Every pairing in an optimal EDR alignment is feasible here
-/// (ε-matching elements land at most one cell apart when the bin side is
-/// ≥ ε), so `M` is at least the alignment's match count and
-/// `HD <= EDR` follows; residual unpaired mass needs one edit operation
-/// per element (a replace retires one residual from each side at once —
-/// hence the `max`).
+/// with element mass of `S` whose cells approximately match. Every
+/// pairing in an optimal EDR alignment is feasible here (ε-matching
+/// elements land at most one cell apart when the bin side is ≥ ε), so
+/// `M` is at least the alignment's match count and `HD <= EDR` follows;
+/// residual unpaired mass needs one edit operation per element (a
+/// replace retires one residual from each side at once — hence the
+/// `max`).
+///
+/// `M` is found in linear time by a left-to-right sweep when `D = 1`
+/// (the per-dimension 1HE embedding; see `sweep_matching` for why the
+/// sweep is exact) and by Dinic max-flow over the bipartite cell
+/// network when `D >= 2` (the 2HE grids, where the neighbourhoods are
+/// boxes with no such order).
 ///
 /// Two cheaper-looking formulations are *not* sound, which is why this
 /// function does neither (see the crate docs):
@@ -43,13 +49,73 @@ pub fn histogram_distance<const D: usize>(
     b: &TrajectoryHistogram<D>,
 ) -> usize {
     check_bin_sizes(a, b);
-    let (ab, bb) = (a.bins(), b.bins());
     let upper = a.total().max(b.total()) as usize;
-    if ab.is_empty() || bb.is_empty() {
-        return upper;
+    let matched = if D == 1 {
+        sweep_matching(a.bins(), b.bins())
+    } else {
+        flow_matching(a.bins(), b.bins())
+    };
+    upper - matched as usize
+}
+
+/// The maximum matching between two 1-D histograms (`D = 1`; only
+/// dimension 0 is read), by one left-to-right sweep: each R cell `c`, in
+/// ascending order, takes the leftmost S mass still unmatched in cells
+/// `c−1..=c+1`.
+///
+/// **Why the sweep is exact.** Split every cell's mass into unit
+/// elements. Each R element at cell `c` may pair with an S element in
+/// the window `[c−1, c+1]`; all windows have the same width, so ordering
+/// R elements by cell orders their windows by both endpoints at once.
+/// Take a maximum matching `O` that agrees with the sweep's matching `G`
+/// on the longest prefix of R elements, and let `u` (at cell `c`) be the
+/// first element where they differ.
+/// - `G` pairs `u` with `p`, the leftmost free S element in `u`'s
+///   window (free after the shared prefix). If `O` leaves `u` unpaired,
+///   either `p` is free in `O` — pair `(u, p)`, a larger matching — or a
+///   later element `u'` holds `p` in `O`: hand `p` to `u` and drop `u'`.
+/// - If `O` pairs `u` with `q ≠ p`, then `p <= q` (p is leftmost). If `p`
+///   is free in `O`, move `u` to `p`. Otherwise a later `u'` at cell
+///   `c' >= c` holds `p`; swap, giving `u'` the element `q`. That is
+///   feasible: `q <= c + 1 <= c' + 1`, and `q >= p >= c' − 1` because `p`
+///   lies in `u'`'s window.
+/// - `G` cannot leave `u` unpaired while `O` pairs it with some `q`: `q`
+///   would have been free for the sweep too.
+///
+/// Each case yields a maximum matching agreeing with `G` one element
+/// longer, so `|G| = |O|`. S cells left of `c − 1` are out of every later
+/// window, which is why the sweep never looks back; at most one S cell
+/// is partially used at a time, the leftmost one the sweep holds.
+fn sweep_matching<const D: usize>(r: &[([i64; D], u32)], s: &[([i64; D], u32)]) -> u64 {
+    let mass_at = |j: usize| s.get(j).map_or(0, |&(_, m)| m);
+    let (mut j, mut left, mut matched) = (0usize, mass_at(0), 0u64);
+    for &(cell, mass) in r {
+        let (lo, hi) = (cell[0].saturating_sub(1), cell[0].saturating_add(1));
+        while j < s.len() && s[j].0[0] < lo {
+            j += 1;
+            left = mass_at(j);
+        }
+        let mut want = mass;
+        while want > 0 && j < s.len() && s[j].0[0] <= hi {
+            let take = want.min(left);
+            (want, left, matched) = (want - take, left - take, matched + u64::from(take));
+            if left == 0 {
+                j += 1;
+                left = mass_at(j);
+            }
+        }
     }
-    // Maximum matching between full histograms = max flow:
-    // source -> R-cells -> approximately matching S-cells -> sink.
+    matched
+}
+
+/// The maximum matching between two histograms of any dimension, as a
+/// max flow: source -> R cells -> approximately matching S cells -> sink.
+/// Adjacency comes from enumerating each R cell's neighbourhood and
+/// looking it up among the (sorted) S cells.
+fn flow_matching<const D: usize>(ab: &[([i64; D], u32)], bb: &[([i64; D], u32)]) -> u64 {
+    if ab.is_empty() || bb.is_empty() {
+        return 0;
+    }
     let (source, sink) = (0usize, 1usize);
     let mut net = MaxFlow::new(2 + ab.len() + bb.len());
     let a_node = |i: usize| 2 + i;
@@ -60,17 +126,14 @@ pub fn histogram_distance<const D: usize>(
     for (j, &(_, m)) in bb.iter().enumerate() {
         net.add_edge(b_node(j), sink, u64::from(m));
     }
-    // Adjacency: enumerate the 3^D neighbour offsets of each R cell and
-    // look them up among the S cells (sorted -> binary search).
     for (i, &(cell, _)) in ab.iter().enumerate() {
-        for neighbour in neighbours::<D>(&cell) {
-            if let Ok(j) = bb.binary_search_by(|&(c, _)| c.cmp(&neighbour)) {
+        TrajectoryHistogram::<D>::for_each_neighbour(&cell, |neighbour| {
+            if let Ok(j) = bb.binary_search_by(|(c, _)| c.cmp(neighbour)) {
                 net.add_edge(a_node(i), b_node(j), u64::MAX);
             }
-        }
+        });
     }
-    let matched = net.max_flow(source, sink) as usize;
-    upper - matched
+    net.max_flow(source, sink)
 }
 
 /// A linear-time *lower bound on HD* (and therefore on EDR):
@@ -80,8 +143,7 @@ pub fn histogram_distance<const D: usize>(
 ///
 /// `histogram_distance_quick(a, b) <= histogram_distance(a, b)`, so it is
 /// sound wherever HD is; it is what the k-NN engines test first, falling
-/// back to the exact max-flow HD only when this cheap bound fails to
-/// prune (the paper's linear-cost claim for `CompHisDist`, made sound).
+/// back to the exact HD only when this cheap bound fails to prune.
 ///
 /// # Panics
 ///
@@ -92,27 +154,48 @@ pub fn histogram_distance_quick<const D: usize>(
 ) -> usize {
     check_bin_sizes(a, b);
     let upper = a.total().max(b.total()) as usize;
-    let cap_a = neighbourhood_capacity(a, b);
-    let cap_b = neighbourhood_capacity(b, a);
+    let cap_a = neighbourhood_capacity(a.bins(), b.bins());
+    let cap_b = neighbourhood_capacity(b.bins(), a.bins());
     upper - cap_a.min(cap_b).min(a.total() as u64).min(b.total() as u64) as usize
 }
 
 /// `Σ_c min(from(c), Σ_{c' ≈ c} to(c'))`: how much of `from`'s mass could
-/// possibly be matched, ignoring that `to` cells cannot be shared.
-fn neighbourhood_capacity<const D: usize>(
-    from: &TrajectoryHistogram<D>,
-    to: &TrajectoryHistogram<D>,
-) -> u64 {
-    let tb = to.bins();
-    from.bins()
-        .iter()
+/// possibly be matched, ignoring that `to` cells cannot be shared. For
+/// `D = 1` the neighbourhood `c−1..=c+1` slides right with `c`, so a
+/// two-pointer window over `to` keeps its sum; otherwise each
+/// neighbour is looked up.
+fn neighbourhood_capacity<const D: usize>(from: &[([i64; D], u32)], to: &[([i64; D], u32)]) -> u64 {
+    if D != 1 {
+        return lookup_capacity(from, to);
+    }
+    let (mut lo, mut hi, mut around, mut cap) = (0usize, 0usize, 0u64, 0u64);
+    for &(cell, m) in from {
+        let (first, last) = (cell[0].saturating_sub(1), cell[0].saturating_add(1));
+        while hi < to.len() && to[hi].0[0] <= last {
+            around += u64::from(to[hi].1);
+            hi += 1;
+        }
+        while lo < hi && to[lo].0[0] < first {
+            around -= u64::from(to[lo].1);
+            lo += 1;
+        }
+        cap += u64::from(m).min(around);
+    }
+    cap
+}
+
+/// [`neighbourhood_capacity`] by looking up every neighbour of every
+/// `from` cell among the sorted `to` cells (binary search), in any
+/// dimension.
+fn lookup_capacity<const D: usize>(from: &[([i64; D], u32)], to: &[([i64; D], u32)]) -> u64 {
+    from.iter()
         .map(|&(cell, m)| {
             let mut around = 0u64;
-            for neighbour in neighbours::<D>(&cell) {
-                if let Ok(j) = tb.binary_search_by(|&(c, _)| c.cmp(&neighbour)) {
-                    around += u64::from(tb[j].1);
+            TrajectoryHistogram::<D>::for_each_neighbour(&cell, |neighbour| {
+                if let Ok(j) = to.binary_search_by(|(c, _)| c.cmp(neighbour)) {
+                    around += u64::from(to[j].1);
                 }
-            }
+            });
             u64::from(m).min(around)
         })
         .sum()
@@ -145,9 +228,9 @@ impl<const D: usize> BlurredHistogram<D> {
         let mut sums: Vec<([i64; D], u64)> =
             Vec::with_capacity(h.bins().len() * 3usize.pow(D as u32));
         for &(cell, m) in h.bins() {
-            for neighbour in neighbours::<D>(&cell) {
+            TrajectoryHistogram::<D>::for_each_neighbour(&cell, |&neighbour| {
                 sums.push((neighbour, u64::from(m)));
-            }
+            });
         }
         sums.sort_unstable_by_key(|s| s.0);
         sums.dedup_by(|next, acc| {
@@ -310,33 +393,6 @@ fn signed_difference<const D: usize>(
     (pos, neg)
 }
 
-/// All cells within Chebyshev distance 1 of `cell` (including itself):
-/// the approximate-match neighbourhood of Definition 5.
-fn neighbours<const D: usize>(cell: &[i64; D]) -> Vec<[i64; D]> {
-    let mut out = Vec::with_capacity(3usize.pow(D as u32));
-    let mut offsets = [-1i64; D];
-    loop {
-        let mut c = *cell;
-        for k in 0..D {
-            c[k] += offsets[k];
-        }
-        out.push(c);
-        // Increment the offset vector in base 3 over {-1, 0, 1}.
-        let mut k = 0;
-        loop {
-            if k == D {
-                return out;
-            }
-            offsets[k] += 1;
-            if offsets[k] <= 1 {
-                break;
-            }
-            offsets[k] = -1;
-            k += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,6 +512,31 @@ mod tests {
         let b = h1(&sv, 1.0);
         // Full matching covers all 400 elements of each side -> HD 0.
         assert_eq!(histogram_distance(&a, &b), 0);
+    }
+
+    #[test]
+    fn extreme_cells_do_not_wrap_into_adjacency() {
+        // At ε = 1e-300 the values 1 and −1 land in cells i64::MAX and
+        // i64::MIN. They are 2 apart, so EDR is 1; neighbour offsets past
+        // the i64 range must neither overflow nor wrap to the other end.
+        let e = 1e-300;
+        let (r, s) = (
+            Trajectory1::from_values(&[1.0]),
+            Trajectory1::from_values(&[-1.0]),
+        );
+        assert_eq!(edr(&r, &s, eps(e)), 1);
+        let (a, b) = (h1(&[1.0], e), h1(&[-1.0], e));
+        assert_eq!(a.bins()[0].0, [i64::MAX]);
+        assert_eq!(b.bins()[0].0, [i64::MIN]);
+        assert_eq!(histogram_distance_quick(&a, &b), 1);
+        assert_eq!(histogram_distance(&a, &b), 1);
+        let (ba, bb) = (BlurredHistogram::build(&a), BlurredHistogram::build(&b));
+        assert_eq!(histogram_distance_quick_blurred(&a, &ba, &b, &bb), 1);
+        assert_eq!(histogram_distance_greedy(&a, &b), 1);
+        let grid = |x: f64| TrajectoryHistogram::build(&Trajectory2::from_xy(&[(x, x)]), eps(e));
+        let (ga, gb) = (grid(1.0), grid(-1.0));
+        assert_eq!(histogram_distance_quick(&ga, &gb), 1);
+        assert_eq!(histogram_distance(&ga, &gb), 1);
     }
 
     #[test]
@@ -630,6 +711,55 @@ mod tests {
                 TrajectoryHistogram::build(&st, e),
             );
             prop_assert!(histogram_distance(&ha, &hb) >= rt.len().abs_diff(st.len()));
+        }
+    }
+
+    /// A 1-D histogram from `(cell, mass)` pairs. The property tests
+    /// below draw few distinct cells from a wider range (gaps between
+    /// occupied cells) with masses up to 60 (repeated values, skewed
+    /// toward a few cells).
+    fn from_cells(cells: &[(i64, usize)]) -> TrajectoryHistogram<1> {
+        let values: Vec<f64> = cells
+            .iter()
+            .flat_map(|&(c, m)| std::iter::repeat_n(c as f64 + 0.5, m))
+            .collect();
+        h1(&values, 1.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// The 1-D sweep finds the same maximum matching as Dinic
+        /// max-flow on the same bipartite network.
+        #[test]
+        fn sweep_matching_equals_max_flow(
+            a in proptest::collection::vec((-12i64..12, 1usize..60), 0..9),
+            b in proptest::collection::vec((-12i64..12, 1usize..60), 0..9),
+        ) {
+            let (a, b) = (from_cells(&a), from_cells(&b));
+            let flow = flow_matching(a.bins(), b.bins());
+            prop_assert_eq!(sweep_matching(a.bins(), b.bins()), flow);
+            prop_assert_eq!(sweep_matching(b.bins(), a.bins()), flow);
+            let upper = a.total().max(b.total()) as usize;
+            prop_assert_eq!(histogram_distance(&a, &b), upper - flow as usize);
+        }
+
+        /// The 1-D sliding window sums the same neighbourhoods as the
+        /// per-neighbour lookup.
+        #[test]
+        fn window_capacity_equals_lookup(
+            a in proptest::collection::vec((-12i64..12, 1usize..60), 0..9),
+            b in proptest::collection::vec((-12i64..12, 1usize..60), 0..9),
+        ) {
+            let (a, b) = (from_cells(&a), from_cells(&b));
+            prop_assert_eq!(
+                neighbourhood_capacity(a.bins(), b.bins()),
+                lookup_capacity(a.bins(), b.bins())
+            );
+            prop_assert_eq!(
+                neighbourhood_capacity(b.bins(), a.bins()),
+                lookup_capacity(b.bins(), a.bins())
+            );
         }
     }
 }

@@ -108,7 +108,27 @@ impl<const D: usize> TrajectoryHistogram<D> {
     /// points within ε can differ by one cell in *every* dimension at
     /// once).
     pub fn cells_approx_match(a: &[i64; D], b: &[i64; D]) -> bool {
-        (0..D).all(|k| (a[k] - b[k]).abs() <= 1)
+        (0..D).all(|k| a[k].abs_diff(b[k]) <= 1)
+    }
+
+    /// Calls `f` with each cell that approximately matches `cell`
+    /// (Definition 5): the up to `3^D` cells within Chebyshev distance 1,
+    /// `cell` itself included, dimension 0 varying fastest. An offset
+    /// that would leave the `i64` range names no cell and is skipped, so
+    /// the extreme cells a tiny bin size produces never wrap around to
+    /// the other end of the grid.
+    pub fn for_each_neighbour(cell: &[i64; D], mut f: impl FnMut(&[i64; D])) {
+        let mut neighbour = [0i64; D];
+        'offsets: for mut code in 0..3usize.pow(D as u32) {
+            for k in 0..D {
+                let Some(c) = cell[k].checked_add((code % 3) as i64 - 1) else {
+                    continue 'offsets;
+                };
+                neighbour[k] = c;
+                code /= 3;
+            }
+            f(&neighbour);
+        }
     }
 }
 
@@ -176,6 +196,35 @@ mod tests {
         assert!(!TrajectoryHistogram::<2>::cells_approx_match(
             &[0, 0],
             &[1, -2]
+        ));
+    }
+
+    #[test]
+    fn neighbour_enumeration_covers_the_full_box() {
+        let mut seen = Vec::new();
+        TrajectoryHistogram::<2>::for_each_neighbour(&[10, -3], |c| seen.push(*c));
+        assert_eq!(seen.len(), 9);
+        for dx in -1..=1i64 {
+            for dy in -1..=1i64 {
+                assert!(seen.contains(&[10 + dx, -3 + dy]));
+            }
+        }
+    }
+
+    #[test]
+    fn neighbours_past_the_i64_range_are_skipped() {
+        let mut seen = Vec::new();
+        TrajectoryHistogram::<2>::for_each_neighbour(&[i64::MAX, i64::MIN], |c| seen.push(*c));
+        let mut expected = Vec::new();
+        for y in [i64::MIN, i64::MIN + 1] {
+            for x in [i64::MAX - 1, i64::MAX] {
+                expected.push([x, y]);
+            }
+        }
+        assert_eq!(seen, expected);
+        assert!(!TrajectoryHistogram::<1>::cells_approx_match(
+            &[i64::MAX],
+            &[i64::MIN]
         ));
     }
 

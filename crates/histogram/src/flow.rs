@@ -1,6 +1,7 @@
-//! A small Dinic max-flow, used to compute the *maximum* cancellation
-//! between positive and negative histogram masses (see the crate docs for
-//! why greedy cancellation is not sound for a lower bound).
+//! A small Dinic max-flow, used to compute the *maximum* matching between
+//! two grid histograms of dimension 2 or more (see the crate docs for why
+//! greedy cancellation is not sound for a lower bound, and why 1-D
+//! histograms need no flow).
 
 /// Directed edge in the residual graph.
 #[derive(Debug, Clone, Copy)]

@@ -22,11 +22,27 @@
 //! neighbour and leave two cancellable masses uncancelled, making the
 //! reported distance larger than the true minimum — and a lower bound that
 //! is occasionally too large yields false dismissals. This crate therefore
-//! computes the *maximum* cancellation exactly, as a max-flow between
-//! positive and negative masses over the approximate-match adjacency
-//! (still effectively linear here: each bin has at most 3^D − 1
-//! neighbours). The paper's greedy scan is kept as
-//! [`histogram_distance_greedy`] for ablation; a property test
+//! computes the *maximum* matching between the two histograms exactly:
+//!
+//! - for `D = 1` (the per-dimension 1HE embedding the k-NN cascade uses
+//!   by default) by one left-to-right sweep in which each cell takes the
+//!   leftmost unmatched mass of the other side among its three
+//!   neighbours — linear in the occupied cells. The sweep is exact
+//!   because every neighbourhood is a window of the same width, so the
+//!   windows are ordered by both endpoints and an exchange argument turns
+//!   any maximum matching into the sweep's (proof on the private
+//!   `sweep_matching`);
+//! - for `D >= 2` (the 2HE grids, whose neighbourhoods are boxes with no
+//!   such order) by Dinic max-flow over the approximate-match adjacency
+//!   (each bin has at most 3^D − 1 neighbours). Property tests pin the
+//!   1-D sweep to the same max-flow.
+//!
+//! [`histogram_distance_quick`] caps the matching by neighbourhood
+//! capacities; in 1-D it is a two-pointer sliding window. Every
+//! neighbourhood is enumerated by [`TrajectoryHistogram::for_each_neighbour`],
+//! which skips offsets past the `i64` range, so the extreme cells a tiny
+//! bin size produces never wrap into adjacency. The paper's greedy scan is
+//! kept as [`histogram_distance_greedy`] for ablation; a property test
 //! demonstrates `greedy >= exact` and the benches compare their pruning
 //! power.
 

@@ -263,6 +263,32 @@ pub fn build_pmatrix<const D: usize>(
     )
 }
 
+/// `candidates`, given in ascending id order, reordered into the HSR
+/// visit order — ascending `(lower_bound, id)` — by one counting pass
+/// over the integer bounds. A quick bound never exceeds the longer
+/// trajectory's length, so the buckets number at most the longest length
+/// plus one; the pass is stable, so ids stay ascending within a bucket.
+fn bucket_order(candidates: &[Candidate]) -> Vec<Candidate> {
+    let Some(max) = candidates.iter().map(|c| c.lower_bound).max() else {
+        return Vec::new();
+    };
+    // next[b]: where the next candidate with bound b goes.
+    let mut next = vec![0usize; max + 2];
+    for c in candidates {
+        next[c.lower_bound + 1] += 1;
+    }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    // Every slot of the copy is overwritten below.
+    let mut ordered = candidates.to_vec();
+    for &c in candidates {
+        ordered[next[c.lower_bound]] = c;
+        next[c.lower_bound] += 1;
+    }
+    ordered
+}
+
 #[derive(Debug)]
 enum Hists<const D: usize> {
     Grid(Vec<TrajectoryHistogram<D>>),
@@ -545,7 +571,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
             let built = "an indexed engine embeds histograms and q-gram means";
             return index.generate(query_len, qh.expect(built), q_means.expect(built));
         }
-        let mut candidates: Vec<Candidate> = (0..self.dataset.len())
+        let candidates: Vec<Candidate> = (0..self.dataset.len())
             .map(|id| Candidate {
                 id,
                 lower_bound: qh.map_or(0, |qh| self.histogram_quick(qh, id)),
@@ -553,11 +579,11 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                 qgram_count_ub: None,
             })
             .collect();
-        if self.config.scan == ScanMode::Sorted {
-            candidates.sort_unstable_by_key(|c| (c.lower_bound, c.id));
-        }
         CandidateBatch {
-            candidates,
+            candidates: match self.config.scan {
+                ScanMode::Sorted => bucket_order(&candidates),
+                ScanMode::Sequential => candidates,
+            },
             exhaustive: true,
         }
     }
@@ -577,8 +603,9 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         }
     }
 
-    /// The exact (max-flow) histogram lower bound, run per candidate when
-    /// the histogram filter's turn comes.
+    /// The exact histogram lower bound (a linear sweep per 1-D histogram,
+    /// max-flow on grids), run per candidate when the histogram filter's
+    /// turn comes.
     fn histogram_exact(&self, qh: &QueryHists<D>, id: usize) -> usize {
         match (&self.hists, qh) {
             (Some(Hists::Grid(h)), QueryHists::Grid(q)) => histogram_distance(q, &h[id]),
@@ -693,10 +720,9 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     /// configured filters; true iff one of them prunes the candidate.
     ///
     /// The quick table and the sorted prefix are the batched path's
-    /// histogram stage: the exact max-flow bound costs about as much as a
-    /// bounded refine and rarely prunes beyond the quick bound, so the
-    /// batched scan skips it — sound, as a skipped filter only sends more
-    /// candidates to the early-abandoning refine.
+    /// histogram stage: the exact bound rarely prunes beyond the quick
+    /// bound, so the batched scan skips it — sound, as a skipped filter
+    /// only sends more candidates to the early-abandoning refine.
     fn batch_filters(
         &self,
         c: &mut BatchCounters,
@@ -1296,6 +1322,36 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn bucket_order_equals_the_comparison_sort() {
+        let longest = 37;
+        let with_bounds = |bounds: &[usize]| -> Vec<Candidate> {
+            bounds
+                .iter()
+                .enumerate()
+                .map(|(id, &lower_bound)| Candidate {
+                    id,
+                    lower_bound,
+                    exact: false,
+                    qgram_count_ub: None,
+                })
+                .collect()
+        };
+        let cases = [
+            vec![],
+            vec![5; 9],
+            vec![0; 9],
+            vec![3, 0, longest, 3, 1, 0, longest - 1, 2, 3],
+            vec![longest],
+        ];
+        for bounds in cases {
+            let candidates = with_bounds(&bounds);
+            let mut expected = candidates.clone();
+            expected.sort_unstable_by_key(|c| (c.lower_bound, c.id));
+            assert_eq!(bucket_order(&candidates), expected, "bounds {bounds:?}");
+        }
     }
 
     /// Every histogram-only configuration: 2HE..2H4E and 1HE × HSE/HSR.

@@ -158,3 +158,42 @@ fn art_knn_answers_are_identical_distance_multisets() {
         }
     }
 }
+
+/// At ε = 1e-300 the coordinates 1 and −1 land in cells `i64::MAX` and
+/// `i64::MIN`. The probe's neighbourhood must skip offsets past the
+/// `i64` range rather than overflow (a debug panic) or wrap them to the
+/// other end of the grid; the indexed engine answers like the scan.
+#[test]
+fn art_probe_at_the_extreme_cells_answers_like_the_scan() {
+    let db: Dataset<2> = [
+        vec![(1.0, 1.0)],
+        vec![(-1.0, -1.0)],
+        vec![(1.0, 1.0), (-1.0, -1.0)],
+        vec![(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)],
+    ]
+    .iter()
+    .map(|p| Trajectory2::from_xy(p))
+    .collect();
+    let queries: Vec<Trajectory2> = [
+        vec![(1.0, 1.0)],
+        vec![(-1.0, -1.0)],
+        vec![(1.0, -1.0), (-1.0, -1.0)],
+    ]
+    .iter()
+    .map(|p| Trajectory2::from_xy(p))
+    .collect();
+    let e = eps(1e-300);
+    let scan = SequentialScan::new(&db, e);
+    for config in configs() {
+        let indexed = CombinedKnn::build(&db, e, config).with_index();
+        for (qi, q) in queries.iter().enumerate() {
+            for k in [1, 3] {
+                assert_eq!(
+                    indexed.knn(q, k).distances(),
+                    scan.knn(q, k).distances(),
+                    "query {qi}, k {k}"
+                );
+            }
+        }
+    }
+}
