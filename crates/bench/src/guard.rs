@@ -218,11 +218,11 @@ fn measure(cases: Vec<Case<'_>>, anchor: &str, suite: &str, cfg: &GuardConfig) -
 ///   query-scoped workspace over arena views (anchor: the allocating
 ///   path at the longest length), so the allocation-free path's
 ///   advantage is itself guarded.
-/// - `throughput` times a fixed k-NN workload end to end at batch sizes
-///   1, 16 and 256 against the old one-task-per-query schedule (the
-///   anchor), so the shared-work batching speedup is itself guarded: a
-///   `batch_256` score of 0.5 means the batched path answers the same
-///   queries in half the wall time.
+/// - `throughput` times a fixed k-NN workload of the combined engine end
+///   to end through `knn_batch` at batch sizes 1, 16 and 256 against one
+///   parallel task per query over the whole workload (the anchor): a
+///   `batch_256` score of 1.0 means the batched path answers the same
+///   queries in the same wall time.
 /// - `obs` times the telemetry overhead: the same sequential-scan
 ///   workload with tracing off (the anchor), with a null sink at debug
 ///   level, and with the flight recorder serializing every query — the
@@ -439,17 +439,17 @@ fn run_refine(cfg: &GuardConfig) -> SuiteRun {
 }
 
 fn run_throughput(cfg: &GuardConfig) -> SuiteRun {
-    // One workload, four schedules. The anchor re-creates the
-    // pre-batching default — one parallel task per query, every task
-    // re-reading every candidate signature — and the batch_* cases feed
-    // the same queries through `knn_batch` in batches of 1, 16 and 256
-    // (clamped to the workload size), where one dataset traversal
-    // serves the whole batch. Case names are identical in quick and
-    // full modes so baselines and smoke runs compare the same suite.
-    // The full-mode shape is filter-dominated (many short trajectories):
-    // that is the regime the paper's pruning pipeline targets, and the one
-    // where the shared quick-bound table shows up as throughput rather
-    // than being drowned by O(len^2) refine time.
+    // One workload, four schedules. The anchor runs one parallel task
+    // per query over the whole workload, and the batch_* cases feed the
+    // same queries through `knn_batch` in batches of 1, 16 and 256
+    // (clamped to the workload size). The combined engine answers a
+    // batch through the trait default — one parallel `knn` per query —
+    // so every case runs the same per-query cascades and the scores
+    // measure the cost of cutting the workload into batches: the pool
+    // is drained at each batch boundary. Case names are identical in
+    // quick and full modes so baselines and smoke runs compare the same
+    // suite. The full-mode shape is filter-dominated (many short
+    // trajectories): the regime the paper's pruning pipeline targets.
     let (n, lens, nq, k, pool) = if cfg.quick {
         (24, (8, 16), 24, 3, 8)
     } else {

@@ -184,10 +184,9 @@ pub fn threads_json() -> serde_json::Value {
 
 /// Answers a batch of queries — a thin wrapper over
 /// [`KnnEngine::knn_batch`], kept for the harness binaries. For the
-/// sequential scan and the combined engine this takes the shared-work
-/// batched path (one dataset traversal feeds every query in the batch);
-/// other engines fall back to one parallel task per query. Results are
-/// returned in query order.
+/// sequential scan this takes the shared batched path (one dataset
+/// traversal feeds every query in the batch); every other engine runs
+/// one parallel task per query. Results are returned in query order.
 pub fn batch_knn<E: KnnEngine<2> + Sync>(
     engine: &E,
     queries: &[Trajectory<2>],

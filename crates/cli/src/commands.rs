@@ -806,12 +806,12 @@ fn report_stages(t: &trajsim_prune::StageTimings) {
     report_latency_percentiles();
 }
 
-/// The batched timing table: stage wall time summed over the workload,
-/// then amortized per batch and per query, so the shared-work saving
-/// (setup and filter passes paid once per batch) is visible next to the
-/// per-query cost a caller actually experiences.
+/// The batched timing table: each stage's per-query time summed over the
+/// workload, then divided per batch and per query. Queries of a batch
+/// run on several workers at once, so at more than one thread the sums
+/// exceed the workload's wall time (printed above the table).
 fn report_stages_batched(t: &trajsim_prune::StageTimings, batches: usize, queries: usize) {
-    println!("  stage timings (wall, whole workload / per batch / per query):");
+    println!("  stage timings (summed over queries; whole workload / per batch / per query):");
     println!(
         "    {:<12} {:>10} {:>10} {:>10} {:>12} {:>12}",
         "stage", "ms", "ms/batch", "ms/query", "cand. in", "cand. out"
@@ -855,9 +855,9 @@ fn report_stages_batched(t: &trajsim_prune::StageTimings, batches: usize, querie
 
 /// A built k-NN engine behind two closures, so `knn` and `explain`
 /// construct engines identically (build once, query many): one query at
-/// a time, or a whole batch through the engine's shared-work
-/// `knn_batch` path (engines without a batched scan fall back to
-/// per-query execution).
+/// a time, or a whole batch through the engine's `knn_batch` (one shared
+/// dataset pass for `--engine scan`, parallel per-query answers for every
+/// other engine).
 type QueryFn<'a> = Box<dyn Fn(&Trajectory<2>, usize) -> KnnResult + 'a>;
 type BatchFn<'a> = Box<dyn Fn(&[Trajectory<2>], usize) -> Vec<KnnResult> + 'a>;
 
@@ -947,7 +947,7 @@ enum Workload {
     Single(usize),
     /// The first `queries` trajectories; `batch: None` answers them one
     /// at a time (the pre-batching behaviour), `Some(b)` routes batches
-    /// of `b` through the engine's shared-work path.
+    /// of `b` through the engine's `knn_batch`.
     Multi {
         queries: usize,
         batch: Option<usize>,
@@ -963,7 +963,7 @@ fn pick_workload(parsed: &Parsed, cmd: &str, ds: &Dataset<2>) -> Result<Workload
         (Some(_), None) => {
             if batch.is_some() {
                 return Err(format!(
-                    "{cmd}: --batch amortizes one dataset pass over many queries; \
+                    "{cmd}: --batch answers many queries at once; \
                      use --queries N instead of --query"
                 ));
             }
@@ -1167,8 +1167,8 @@ fn knn(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
 
 /// `trajsim explain`: runs k-NN through the chosen engine — one query
 /// (`--query I`) or a workload of the first N trajectories (`--queries
-/// N`, optionally in batches of `--batch B` through the shared-work
-/// path) — and prints the per-stage pruning-power report built from the
+/// N`, optionally in batches of `--batch B` through `knn_batch`) — and
+/// prints the per-stage pruning-power report built from the
 /// live query statistics.
 fn explain(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
     let path = parsed.positional(1).ok_or("explain: missing file")?;
@@ -1232,7 +1232,7 @@ fn explain(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
 /// (which carries the `batch.*` and `parallel.worker_*` series for
 /// batched runs). `query` describes the workload: a single id, or a
 /// `{first, count}` range; `batch` is the batch size when the run went
-/// through the shared-work path.
+/// through `knn_batch`.
 fn write_metrics(
     path: &str,
     engine: &str,
@@ -1297,21 +1297,10 @@ fn range(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
     Ok(())
 }
 
-/// `trajsim replay <recording>`: rebuilds the dataset, engine, and
-/// workload from the recording's header, re-runs it while capturing a
-/// fresh recording in memory through the same `finish_query` chokepoint,
-/// then checks the answers and reports stage-level drift.
-///
-/// Answer checking is strict on distances — EDR is deterministic, so the
-/// per-query distance multisets must match exactly. Neighbor *ids* may
-/// legitimately permute among tied distances when a batched merge visits
-/// workers in a different order; that is reported, not fatal. Timing
-/// drift is compared at `--max-drift` (relative, default 0.5) and only
-/// fails the run under `--check`.
-fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
-    let rec_path = parsed
-        .positional(1)
-        .ok_or("replay: missing recording file")?;
+/// Reads the recording at `rec_path` and re-runs its workload from its
+/// header, capturing the fresh flight records in memory through the same
+/// `finish_query` emission path: `(recorded, replayed)`.
+fn rerun(rec_path: &str, telemetry: &Telemetry) -> Result<(Recording, Recording), String> {
     let recording = Recording::read(rec_path)?;
     let meta = &recording.meta;
     let meta_str = |key: &str| {
@@ -1421,16 +1410,27 @@ fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
     let text = String::from_utf8(buf.lock().expect("replay buffer").clone())
         .map_err(|e| format!("replay: captured recording is not UTF-8: {e}"))?;
     let replayed = Recording::parse(&text).map_err(|e| format!("replay: {e}"))?;
+    Ok((recording, replayed))
+}
 
-    let canon = |r: &trajsim_profile::FlightRecord| {
-        let mut v: Vec<(u64, u64)> = r.neighbors.iter().map(|&(id, d)| (d, id)).collect();
-        v.sort_unstable();
-        v
-    };
-    let mut want: Vec<Vec<(u64, u64)>> = recording.records.iter().map(canon).collect();
-    let mut got: Vec<Vec<(u64, u64)>> = replayed.records.iter().map(canon).collect();
-    want.sort();
-    got.sort();
+/// `trajsim replay <recording>`: rebuilds the dataset, engine, and
+/// workload from the recording's header, re-runs it while capturing a
+/// fresh recording in memory through the same `finish_query` chokepoint,
+/// then checks the answers and reports stage-level drift.
+///
+/// Answer checking is strict on distances — EDR is deterministic, so the
+/// per-query distance multisets must match exactly. Neighbor *ids* may
+/// legitimately permute among tied distances when the sequential scan's
+/// batched merge visits workers in a different order; that is reported,
+/// not fatal. Timing drift is compared at `--max-drift` (relative,
+/// default 0.5) and only fails the run under `--check`.
+fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
+    let rec_path = parsed
+        .positional(1)
+        .ok_or("replay: missing recording file")?;
+    let (recording, replayed) = rerun(rec_path, telemetry)?;
+    let want = neighbor_sets(&recording);
+    let got = neighbor_sets(&replayed);
     if want.len() != got.len() {
         return Err(format!(
             "replay: {} recorded queries but {} replayed",
@@ -1475,6 +1475,23 @@ fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
         return Err("replay: drift vs the recording exceeds --max-drift".into());
     }
     Ok(())
+}
+
+/// Each record's answer as a `(dist, id)`-sorted list, the lists sorted:
+/// records are written in completion order, so recordings compare as
+/// multisets of answers.
+fn neighbor_sets(recording: &Recording) -> Vec<Vec<(u64, u64)>> {
+    let mut sets: Vec<Vec<(u64, u64)>> = recording
+        .records
+        .iter()
+        .map(|r| {
+            let mut v: Vec<(u64, u64)> = r.neighbors.iter().map(|&(id, d)| (d, id)).collect();
+            v.sort_unstable();
+            v
+        })
+        .collect();
+    sets.sort();
+    sets
 }
 
 fn cluster(parsed: &Parsed) -> Result<(), String> {
@@ -2003,7 +2020,8 @@ mod tests {
     #[test]
     fn batched_metrics_out_reports_batch_series() {
         // Serialized with the other batch test: the `batch.size` gauge is
-        // process-global and records the most recent batch.
+        // process-global and records the most recent batch. The scan is
+        // the engine with a shared batched pass, which reports it.
         let _g = sink_guard();
         let csv = tmp("batch-metrics.csv");
         let out = tmp("batch-metrics.json");
@@ -2017,6 +2035,8 @@ mod tests {
             "16",
             "--k",
             "3",
+            "--engine",
+            "scan",
             "--metrics-out",
             &out,
         ])
@@ -2381,24 +2401,40 @@ mod tests {
     fn replay_handles_batched_recordings() {
         let _g = sink_guard();
         let csv = tmp("replay-batch.csv");
-        let rec = tmp("replay-batch.flight.jsonl");
         run(&["generate", "walk", "--n", "32", "--seed", "29", "-o", &csv]).unwrap();
-        run(&[
-            "knn",
-            &csv,
-            "--queries",
-            "8",
-            "--batch",
-            "4",
-            "--k",
-            "3",
-            "--record",
-            &rec,
-        ])
-        .unwrap();
+        let record = |engine: &str| {
+            let rec = tmp(&format!("replay-batch-{engine}.flight.jsonl"));
+            run(&[
+                "knn",
+                &csv,
+                "--queries",
+                "8",
+                "--batch",
+                "4",
+                "--k",
+                "3",
+                "--engine",
+                engine,
+                "--record",
+                &rec,
+            ])
+            .unwrap();
+            rec
+        };
+        // The scan's shared pass stamps its batch id on every record.
+        let rec = record("scan");
         let recording = Recording::read(&rec).unwrap();
         assert_eq!(recording.records.len(), 8);
         assert!(recording.records.iter().all(|r| r.batch.is_some()));
+        run(&["replay", &rec]).unwrap();
+        // The combined engine answers a batch query by query: no batch
+        // ids, and a replay reproduces every answer, ids included.
+        let rec = record("combined");
+        let (recorded, replayed) =
+            rerun(&rec, &Telemetry::from_args(&Parsed::default()).unwrap()).unwrap();
+        assert_eq!(recorded.records.len(), 8);
+        assert!(recorded.records.iter().all(|r| r.batch.is_none()));
+        assert_eq!(neighbor_sets(&recorded), neighbor_sets(&replayed));
         run(&["replay", &rec]).unwrap();
     }
 

@@ -201,104 +201,6 @@ fn lookup_capacity<const D: usize>(from: &[([i64; D], u32)], to: &[([i64; D], u3
         .sum()
 }
 
-/// Precomputed neighbourhood sums ("blur") of one histogram: for every
-/// cell within Chebyshev distance 1 of the histogram's support, the total
-/// mass the histogram holds in that cell's approximate-match
-/// neighbourhood (Definition 5). A signature's blur depends on nothing
-/// but the signature, so a batched scan builds it **once per histogram
-/// per batch**; with both sides' blurs in hand,
-/// [`histogram_distance_quick_blurred`] evaluates the quick bound as two
-/// sorted merges instead of `2 × 3^D` binary searches per occupied cell —
-/// the per-pair work that dominates the quick bound drops out of the
-/// (query × candidate) loop.
-#[derive(Debug, Clone)]
-pub struct BlurredHistogram<const D: usize> {
-    /// `(cell, Σ_{c' ≈ cell} mass(c'))`, sorted by cell, over the dilated
-    /// support.
-    sums: Vec<([i64; D], u64)>,
-    total: u64,
-    bin_size: f64,
-}
-
-impl<const D: usize> BlurredHistogram<D> {
-    /// Builds the neighbourhood sums of `h`: each occupied cell scatters
-    /// its mass to all `3^D` cells whose neighbourhood contains it (the
-    /// relation is symmetric).
-    pub fn build(h: &TrajectoryHistogram<D>) -> BlurredHistogram<D> {
-        let mut sums: Vec<([i64; D], u64)> =
-            Vec::with_capacity(h.bins().len() * 3usize.pow(D as u32));
-        for &(cell, m) in h.bins() {
-            TrajectoryHistogram::<D>::for_each_neighbour(&cell, |&neighbour| {
-                sums.push((neighbour, u64::from(m)));
-            });
-        }
-        sums.sort_unstable_by_key(|s| s.0);
-        sums.dedup_by(|next, acc| {
-            if next.0 == acc.0 {
-                acc.1 += next.1;
-                true
-            } else {
-                false
-            }
-        });
-        BlurredHistogram {
-            sums,
-            total: u64::from(h.total()),
-            bin_size: h.bin_size(),
-        }
-    }
-
-    /// Total mass of the underlying (unblurred) histogram.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
-/// [`histogram_distance_quick`] evaluated from precomputed blurs: always
-/// returns exactly the same value, but each neighbourhood lookup is a
-/// step of a sorted merge rather than `3^D` binary searches.
-///
-/// # Panics
-///
-/// Panics if the blurs were built from histograms with different bin
-/// sizes.
-pub fn histogram_distance_quick_blurred<const D: usize>(
-    a: &TrajectoryHistogram<D>,
-    a_blur: &BlurredHistogram<D>,
-    b: &TrajectoryHistogram<D>,
-    b_blur: &BlurredHistogram<D>,
-) -> usize {
-    assert!(
-        (a_blur.bin_size - b_blur.bin_size).abs() < f64::EPSILON * a_blur.bin_size.abs().max(1.0),
-        "histograms use different bin sizes ({} vs {})",
-        a_blur.bin_size,
-        b_blur.bin_size
-    );
-    let upper = a_blur.total.max(b_blur.total) as usize;
-    let cap_a = blurred_capacity(a, b_blur);
-    let cap_b = blurred_capacity(b, a_blur);
-    upper - cap_a.min(cap_b).min(a_blur.total).min(b_blur.total) as usize
-}
-
-/// `Σ_c min(from(c), blur_to(c))` by merging the two cell-sorted lists.
-fn blurred_capacity<const D: usize>(
-    from: &TrajectoryHistogram<D>,
-    to_blur: &BlurredHistogram<D>,
-) -> u64 {
-    let sums = &to_blur.sums;
-    let mut j = 0usize;
-    let mut cap = 0u64;
-    for &(cell, m) in from.bins() {
-        while j < sums.len() && sums[j].0 < cell {
-            j += 1;
-        }
-        if j < sums.len() && sums[j].0 == cell {
-            cap += u64::from(m).min(sums[j].1);
-        }
-    }
-    cap
-}
-
 fn check_bin_sizes<const D: usize>(a: &TrajectoryHistogram<D>, b: &TrajectoryHistogram<D>) {
     assert!(
         (a.bin_size() - b.bin_size()).abs() < f64::EPSILON * a.bin_size().abs().max(1.0),
@@ -530,41 +432,11 @@ mod tests {
         assert_eq!(b.bins()[0].0, [i64::MIN]);
         assert_eq!(histogram_distance_quick(&a, &b), 1);
         assert_eq!(histogram_distance(&a, &b), 1);
-        let (ba, bb) = (BlurredHistogram::build(&a), BlurredHistogram::build(&b));
-        assert_eq!(histogram_distance_quick_blurred(&a, &ba, &b, &bb), 1);
         assert_eq!(histogram_distance_greedy(&a, &b), 1);
         let grid = |x: f64| TrajectoryHistogram::build(&Trajectory2::from_xy(&[(x, x)]), eps(e));
         let (ga, gb) = (grid(1.0), grid(-1.0));
         assert_eq!(histogram_distance_quick(&ga, &gb), 1);
         assert_eq!(histogram_distance(&ga, &gb), 1);
-    }
-
-    #[test]
-    fn blurred_quick_handles_empty_and_one_dimensional_inputs() {
-        let a = h1(&[0.9, 1.2, 5.0], 1.0);
-        let b = h1(&[], 1.0);
-        let (ba, bb) = (BlurredHistogram::build(&a), BlurredHistogram::build(&b));
-        assert_eq!(
-            histogram_distance_quick_blurred(&a, &ba, &b, &bb),
-            histogram_distance_quick(&a, &b)
-        );
-        assert_eq!(ba.total(), 3);
-        assert_eq!(bb.total(), 0);
-        let c = h1(&[0.5, 2.5, 2.6], 1.0);
-        let bc = BlurredHistogram::build(&c);
-        assert_eq!(
-            histogram_distance_quick_blurred(&a, &ba, &c, &bc),
-            histogram_distance_quick(&a, &c)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "different bin sizes")]
-    fn blurred_mismatched_bin_sizes_panic() {
-        let a = h1(&[0.0], 1.0);
-        let b = h1(&[0.0], 2.0);
-        let (ba, bb) = (BlurredHistogram::build(&a), BlurredHistogram::build(&b));
-        let _ = histogram_distance_quick_blurred(&a, &ba, &b, &bb);
     }
 
     #[test]
@@ -673,27 +545,6 @@ mod tests {
             let quick = histogram_distance_quick(&ha, &hb);
             prop_assert!(quick <= histogram_distance(&ha, &hb));
             prop_assert!(quick <= edr(&rt, &st, e));
-        }
-
-        /// The blurred evaluation is a pure reformulation: it returns
-        /// exactly the binary-search quick bound on every input.
-        #[test]
-        fn blurred_quick_equals_quick(
-            r in proptest::collection::vec((-5.0..5.0f64, -5.0..5.0f64), 0..18),
-            s in proptest::collection::vec((-5.0..5.0f64, -5.0..5.0f64), 0..18),
-            e in 0.1..3.0f64,
-        ) {
-            let (rt, st) = (Trajectory2::from_xy(&r), Trajectory2::from_xy(&s));
-            let e = eps(e);
-            let (ha, hb) = (
-                TrajectoryHistogram::build(&rt, e),
-                TrajectoryHistogram::build(&st, e),
-            );
-            let (ba, bb) = (BlurredHistogram::build(&ha), BlurredHistogram::build(&hb));
-            prop_assert_eq!(
-                histogram_distance_quick_blurred(&ha, &ba, &hb, &bb),
-                histogram_distance_quick(&ha, &hb)
-            );
         }
 
         /// HD respects the length difference: |m − n| <= HD (mass

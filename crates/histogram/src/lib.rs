@@ -54,9 +54,6 @@ mod embed;
 mod flow;
 mod frequency;
 
-pub use distance::{
-    histogram_distance, histogram_distance_greedy, histogram_distance_quick,
-    histogram_distance_quick_blurred, BlurredHistogram,
-};
+pub use distance::{histogram_distance, histogram_distance_greedy, histogram_distance_quick};
 pub use embed::TrajectoryHistogram;
 pub use frequency::{frequency_distance, FrequencyVector};

@@ -1,29 +1,28 @@
 //! Shared plumbing for batched (shared-work) k-NN execution.
 //!
-//! Engines that override [`crate::KnnEngine::knn_batch`] with a real
-//! shared-scan implementation (the sequential scan and the combined
-//! engine) walk the dataset **once per batch**: workers claim contiguous
-//! candidate chunks (`trajsim_parallel::par_chunks`), load each
-//! candidate's signature — arena block, sorted q-gram means, histogram
-//! embedding, pmatrix row — a single time, and run the inner loop over
-//! the batch's queries against it. Per-query best-k bounds are merged
-//! through `trajsim_distance::BatchContext`'s shared atomics.
+//! The sequential scan is the one engine that overrides
+//! [`crate::KnnEngine::knn_batch`] with a shared scan: it walks the
+//! dataset **once per batch**, workers claiming contiguous candidate
+//! chunks (`trajsim_parallel::par_chunks`), loading each candidate's
+//! arena block a single time and running the inner loop over the batch's
+//! queries against it. Per-query best-k bounds are merged through
+//! `trajsim_distance::BatchContext`'s shared atomics. The scan prunes
+//! nothing, so its work does not depend on the order it visits
+//! candidates in. A pruning engine's does: `CombinedKnn` answers a batch
+//! through the trait default, one full per-query cascade per query, so
+//! each query keeps its own HSR visit order (DESIGN.md §11).
 //!
 //! ## Batch stats accounting
 //!
-//! Each query of a batch still gets its own [`crate::QueryStats`]:
-//! counters (`edr_computed`, `dp_cells`, per-filter candidate flow and
-//! prune credit) are exact per query, while the wall-clock timing fields
-//! that are *shared work* — setup, the batched filter passes, and the
-//! end-to-end total — are **amortized**: each query carries `1/N` of the
-//! batch's measurement (remainders spread one nanosecond at a time so
-//! nothing is lost). Accumulating all `N` per-query stats therefore
+//! Each query of a batch still gets its own [`crate::QueryStats`]: the
+//! counters (`edr_computed`, `dp_cells`) are exact per query, while the
+//! wall-clock fields that are *shared work* — setup, the traversal and
+//! the end-to-end total — are **amortized**: each query carries `1/N` of
+//! the batch's measurement (remainders spread one nanosecond at a time
+//! so nothing is lost). Accumulating all `N` per-query stats therefore
 //! reproduces the batch totals exactly once — no double-counted wall
-//! time or dp_cells. The combined engine clocks each refine
-//! individually, so its per-query `refine_ns` is exact (summed across
-//! workers, it may exceed the amortized total, as in the parallel scan);
-//! the batched sequential scan's whole traversal *is* refinement, so its
-//! worker busy time is amortized like the other shared measurements.
+//! time or dp_cells. The traversal *is* refinement, so the workers' busy
+//! time is amortized as the batch's `refine_ns`.
 
 use crate::result::Neighbor;
 

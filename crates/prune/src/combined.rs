@@ -2,21 +2,16 @@
 //! paper's `EDRCombineK-NN` loop, configured by which lower-bound filters
 //! it applies, in which order, and how it visits the candidates.
 
-use crate::batch::{amortize, finish_batch, merge_partials, next_batch_id};
 use crate::candidates::{Candidate, CandidateBatch, CandidateSource};
 use crate::result::{
-    elapsed_ns, finalize_query, finish_query, KnnEngine, KnnResult, Neighbor, QueryStats, Refine,
-    ResultSet,
+    elapsed_ns, finalize_query, KnnEngine, KnnResult, QueryStats, Refine, ResultSet,
 };
 use std::sync::Mutex;
 use std::time::Instant;
 use trajsim_art::{ArtScratch, HistCandidate, HistogramArtIndex, QgramArtIndex, QuerySignature};
 use trajsim_core::{Dataset, MatchThreshold, Trajectory, TrajectoryArena};
-use trajsim_distance::{with_workspace, BatchContext, EdrWorkspace, QueryContext};
-use trajsim_histogram::{
-    histogram_distance, histogram_distance_quick, histogram_distance_quick_blurred,
-    BlurredHistogram, TrajectoryHistogram,
-};
+use trajsim_distance::{with_workspace, EdrWorkspace, QueryContext};
+use trajsim_histogram::{histogram_distance, histogram_distance_quick, TrajectoryHistogram};
 use trajsim_qgram::{passes_count_filter, SortedMeans};
 
 /// Which histogram embedding the engine uses.
@@ -300,29 +295,10 @@ enum QueryHists<const D: usize> {
     PerDim(Vec<TrajectoryHistogram<1>>),
 }
 
-/// Precomputed neighbourhood sums of one side's histogram embedding —
-/// the per-signature share of the quick bound, hoisted out of the
-/// (query × candidate) loop by the batched scan.
-enum Blurs<const D: usize> {
-    Grid(BlurredHistogram<D>),
-    PerDim(Vec<BlurredHistogram<1>>),
-}
-
-impl<const D: usize> Blurs<D> {
-    fn of_query(qh: &QueryHists<D>) -> Blurs<D> {
-        match qh {
-            QueryHists::Grid(h) => Blurs::Grid(BlurredHistogram::build(h)),
-            QueryHists::PerDim(hs) => {
-                Blurs::PerDim(hs.iter().map(BlurredHistogram::build).collect())
-            }
-        }
-    }
-}
-
 /// The prebuilt adaptive-radix signature indexes of one engine
 /// ([`CombinedKnn::with_index`]): histogram bins and q-gram means share
-/// a probe scratch (mutexed so the engine stays `Sync`; probes are
-/// serial in both the per-query and the batched path).
+/// a probe scratch (mutexed so the engine stays `Sync`; queries answered
+/// in parallel by [`KnnEngine::knn_batch`] take turns probing).
 #[derive(Debug)]
 struct ArtIndexes<const D: usize> {
     hist: HistogramArtIndex<D>,
@@ -375,28 +351,6 @@ impl<const D: usize> ArtIndexes<D> {
         CandidateBatch {
             candidates,
             exhaustive: false,
-        }
-    }
-}
-
-/// Per-(query, worker) counters of the batched scan.
-#[derive(Clone, Copy, Default)]
-struct BatchCounters {
-    refine: Refine,
-    pruned_h: usize,
-    pruned_q: usize,
-    pruned_t: usize,
-    q_in: usize,
-    q_out: usize,
-    t_in: usize,
-    t_out: usize,
-}
-
-impl BatchCounters {
-    fn timed() -> Self {
-        BatchCounters {
-            refine: Refine::timed(),
-            ..BatchCounters::default()
         }
     }
 }
@@ -619,47 +573,6 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         }
     }
 
-    /// The candidate side of the blurred quick bound, built once per
-    /// candidate per batch.
-    fn blur_candidate(&self, id: usize) -> Blurs<D> {
-        match &self.hists {
-            Some(Hists::Grid(h)) => Blurs::Grid(BlurredHistogram::build(&h[id])),
-            Some(Hists::PerDim(h)) => {
-                Blurs::PerDim(h[id].iter().map(BlurredHistogram::build).collect())
-            }
-            None => unreachable!("the sorted scan embeds histograms"),
-        }
-    }
-
-    /// [`Self::histogram_quick`] evaluated from both sides' precomputed
-    /// blurs — identical value, sorted merges instead of binary searches.
-    fn histogram_quick_blurred(
-        &self,
-        qh: &QueryHists<D>,
-        qb: &Blurs<D>,
-        id: usize,
-        cb: &Blurs<D>,
-    ) -> usize {
-        match (&self.hists, qh, qb, cb) {
-            (Some(Hists::Grid(h)), QueryHists::Grid(q), Blurs::Grid(qb), Blurs::Grid(cb)) => {
-                histogram_distance_quick_blurred(q, qb, &h[id], cb)
-            }
-            (
-                Some(Hists::PerDim(h)),
-                QueryHists::PerDim(q),
-                Blurs::PerDim(qb),
-                Blurs::PerDim(cb),
-            ) => q
-                .iter()
-                .zip(qb)
-                .zip(h[id].iter().zip(cb))
-                .map(|((a, ab), (b, bb))| histogram_distance_quick_blurred(a, ab, b, bb))
-                .max()
-                .unwrap_or(0),
-            _ => unreachable!("query embedded with the engine's own variant"),
-        }
-    }
-
     /// Embeds one query with the engine's histogram variant, when the
     /// engine has histograms.
     fn query_hists(&self, query: &Trajectory<D>) -> Option<QueryHists<D>> {
@@ -714,372 +627,6 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     /// distance gets computed).
     fn joins_pool(&self, id: usize, refs: usize) -> bool {
         id < self.pmatrix.len() && refs < self.config.max_triangle
-    }
-
-    /// One (query, candidate) pair of the batched scan through the
-    /// configured filters; true iff one of them prunes the candidate.
-    ///
-    /// The quick table and the sorted prefix are the batched path's
-    /// histogram stage: the exact bound rarely prunes beyond the quick
-    /// bound, so the batched scan skips it — sound, as a skipped filter
-    /// only sends more candidates to the early-abandoning refine.
-    fn batch_filters(
-        &self,
-        c: &mut BatchCounters,
-        id: usize,
-        query_len: usize,
-        best: usize,
-        refs: &[(usize, usize)],
-        qgram_count: impl Fn() -> usize,
-    ) -> bool {
-        let s_len = self.arena.len_of(id);
-        for filter in self.config.order.filters() {
-            match filter {
-                Filter::Histogram => {}
-                Filter::Qgram => {
-                    c.q_in += 1;
-                    if !passes_count_filter(
-                        qgram_count(),
-                        query_len,
-                        s_len,
-                        self.config.qgram_q,
-                        best,
-                    ) {
-                        c.pruned_q += 1;
-                        return true;
-                    }
-                    c.q_out += 1;
-                }
-                Filter::NearTriangle => {
-                    c.t_in += 1;
-                    if self.triangle_prunes(refs, id, s_len, best) {
-                        c.pruned_t += 1;
-                        return true;
-                    }
-                    c.t_out += 1;
-                }
-            }
-        }
-        false
-    }
-
-    /// The shared-work batched scan behind [`KnnEngine::knn_batch`] for
-    /// the HSR configurations — one dataset traversal feeds N queries.
-    ///
-    /// Phases:
-    ///
-    /// 1. **Setup** (serial): per-query histogram embeddings and their
-    ///    blurred (neighbourhood-sum) forms, sorted q-gram means, and SoA
-    ///    `QueryContext`s in a [`BatchContext`].
-    /// 2. **Quick-bound matrix** (parallel over candidate chunks): each
-    ///    candidate's histogram signature is loaded — and its blur built
-    ///    — once per batch, then evaluated against every query with the
-    ///    merge-based [`histogram_distance_quick_blurred`], filling a
-    ///    candidate-major `n × N` table of the linear quick bound. This
-    ///    is the batch-amortized histogram filter: the per-signature
-    ///    share of the quick bound is computed once instead of once per
-    ///    query.
-    /// 3. **Prefix scan** (parallel over queries, per-worker
-    ///    [`EdrWorkspace`]): each query visits its `max(4k, 32)`
-    ///    quick-smallest candidates in the HSR order the per-query
-    ///    engine uses — full refines until the top-k fills, then the
-    ///    configured filter cascade with early-abandoning refines — so
-    ///    its best-k bound is near-final before the shared scan. A
-    ///    break-out inside the prefix (quick bound above the current
-    ///    k-th best) settles the query outright: every unvisited
-    ///    candidate's quick bound is at least as large, and the k-th
-    ///    best only ever tightens.
-    /// 4. **Chunk scan** (parallel over candidate chunks, per-worker
-    ///    [`EdrWorkspace`]): per candidate, the arena block is loaded
-    ///    once; the inner loop over the still-open queries prunes with
-    ///    the quick table, then the configured filter order, and refines
-    ///    survivors with early-abandoning EDR under `min(shared, local)`
-    ///    bounds. Triangle references start from the prefix scan's pool
-    ///    and grow chunk-locally — sound but possibly weaker than the
-    ///    per-query engine's pool, which shifts prune *credit* between
-    ///    filters, never the answer.
-    /// 5. **Merge**: per query, the prefix and chunk partial top-k lists
-    ///    merge by `(dist, id)`.
-    ///
-    /// The prefix and chunk scans share one filter step
-    /// ([`Self::batch_filters`]). Every filter is a sound lower bound and
-    /// early abandoning only drops candidates that provably cannot enter
-    /// the top-k, so the returned distances are identical to per-query
-    /// [`KnnEngine::knn`]'s (ids may permute among equal distances);
-    /// per-filter credit and `dp_cells` may legitimately differ.
-    fn knn_batch_scan(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult> {
-        let t_batch = Instant::now();
-        let nq = queries.len();
-        let n = self.dataset.len();
-        let qhs: Vec<QueryHists<D>> = queries
-            .iter()
-            .map(|q| {
-                self.query_hists(q)
-                    .expect("the sorted scan embeds histograms")
-            })
-            .collect();
-        let q_blurs: Vec<Blurs<D>> = qhs.iter().map(Blurs::of_query).collect();
-        let q_means: Vec<Option<SortedMeans<D>>> =
-            queries.iter().map(|q| self.query_means(q)).collect();
-        let batch = BatchContext::new(queries, self.eps);
-        let setup_ns = elapsed_ns(t_batch);
-        let threads = trajsim_parallel::num_threads().min(n.max(1));
-        let chunk_len = n.div_ceil(threads * 4).max(k).max(1);
-        let max_pair = self.arena.max_len().max(batch.max_query_len());
-
-        // Phase 2: candidate-major quick-bound table `quick[id * nq + qi]`.
-        //
-        // Without an index: each candidate's blur is built once and
-        // evaluated against every query (parallel over chunks). With an
-        // index: the table is seeded with the exact untouched distance
-        // `max(lq, ls)` and each query's histogram probe overwrites the
-        // cells it touched with its (≤ quick) lower bound — plus one
-        // q-gram probe per query whose counts replace the per-candidate
-        // merge join in the cascade below. Either way every entry lower-
-        // bounds EDR, so the pruning logic downstream is unchanged.
-        // Per-query q-gram probe results: `counts[qi]` holds the
-        // (id, matched-gram count) pairs the index emitted for query qi.
-        type PerQueryCounts = Vec<Vec<(u32, u32)>>;
-        let t_quick = Instant::now();
-        let (quick, art_counts): (Vec<usize>, Option<PerQueryCounts>) = match &self.index {
-            Some(index) => {
-                let mut quick = vec![0usize; n * nq];
-                for id in 0..n {
-                    let ls = self.arena.len_of(id);
-                    for (qi, q) in queries.iter().enumerate() {
-                        quick[id * nq + qi] = ls.max(q.len());
-                    }
-                }
-                let mut scratch = index.scratch.lock().expect("probe scratch poisoned");
-                let mut hist_out: Vec<HistCandidate> = Vec::new();
-                let mut counts_per_q: Vec<Vec<(u32, u32)>> = Vec::with_capacity(nq);
-                for (qi, (q, qh)) in queries.iter().zip(&qhs).enumerate() {
-                    let sig = match qh {
-                        QueryHists::Grid(h) => QuerySignature::Grid(h),
-                        QueryHists::PerDim(hs) => QuerySignature::PerDim(hs),
-                    };
-                    hist_out.clear();
-                    index
-                        .hist
-                        .probe(sig, q.len() as u32, &mut scratch, &mut hist_out);
-                    for c in &hist_out {
-                        quick[c.id as usize * nq + qi] = c.lower_bound as usize;
-                    }
-                    let mut counts = Vec::new();
-                    let means = q_means[qi].as_ref().expect("an indexed engine has q-grams");
-                    index.qgram.probe(means, &mut scratch, &mut counts);
-                    counts_per_q.push(counts);
-                }
-                (quick, Some(counts_per_q))
-            }
-            None => (
-                trajsim_parallel::par_chunks(
-                    n,
-                    chunk_len,
-                    || (),
-                    |(), range| {
-                        let mut out = Vec::with_capacity(range.len() * nq);
-                        for id in range {
-                            let c_blur = self.blur_candidate(id);
-                            for (qh, qb) in qhs.iter().zip(&q_blurs) {
-                                out.push(self.histogram_quick_blurred(qh, qb, id, &c_blur));
-                            }
-                        }
-                        out
-                    },
-                )
-                .concat(),
-                None,
-            ),
-        };
-        let quick_ns = elapsed_ns(t_quick);
-        // The probe's count upper bound when indexed (absent id = zero
-        // matches, also sound), the merge join otherwise.
-        let qgram_count = |qi: usize, id: usize| -> usize {
-            match &art_counts {
-                Some(counts) => counts[qi]
-                    .binary_search_by_key(&(id as u32), |&(cid, _)| cid)
-                    .map(|i| counts[qi][i].1 as usize)
-                    .unwrap_or(0),
-                None => self.qgram_matches(q_means[qi].as_ref(), id),
-            }
-        };
-
-        // Phase 3: per-query prefix scan in HSR order over the
-        // quick-smallest candidates.
-        struct SeedOut {
-            neighbors: Vec<Neighbor>,
-            seeded: Vec<u64>,
-            /// Break-out hit inside the prefix: the query's result is
-            /// already final; the chunk scan skips it entirely.
-            done: bool,
-            refs: Vec<(usize, usize)>,
-            c: BatchCounters,
-        }
-        let prefix_len = n.min((4 * k).max(32));
-        let qidx: Vec<usize> = (0..nq).collect();
-        let seeds: Vec<SeedOut> = trajsim_parallel::par_map_with(
-            &qidx,
-            || EdrWorkspace::with_capacity(max_pair),
-            |ws, _, &qi| {
-                let col = |id: usize| quick[id * nq + qi];
-                let mut order: Vec<usize> = (0..n).collect();
-                if prefix_len < n {
-                    order.select_nth_unstable_by_key(prefix_len - 1, |&id| (col(id), id));
-                    order.truncate(prefix_len);
-                }
-                order.sort_unstable_by_key(|&id| (col(id), id));
-                let mut rs = ResultSet::new(k);
-                let mut seeded = vec![0u64; n.div_ceil(64)];
-                let mut refs: Vec<(usize, usize)> = Vec::new();
-                let mut c = BatchCounters::timed();
-                let mut done = false;
-                let ctx = batch.ctx(qi);
-                for (rank, &id) in order.iter().enumerate() {
-                    let best = rs.best_so_far();
-                    if best != usize::MAX && col(id) > best {
-                        // Sorted break-out: the prefix holds the n
-                        // smallest quick bounds, so every unvisited
-                        // candidate — inside or beyond the prefix — is
-                        // at least this far away.
-                        c.pruned_h += n - rank;
-                        done = true;
-                        break;
-                    }
-                    seeded[id / 64] |= 1 << (id % 64);
-                    if best != usize::MAX
-                        && self.batch_filters(&mut c, id, ctx.len(), best, &refs, || {
-                            qgram_count(qi, id)
-                        })
-                    {
-                        continue;
-                    }
-                    let d = c
-                        .refine
-                        .step(ctx, id, self.arena.view(id), best, &mut rs, ws);
-                    if let Some(d) = d {
-                        if self.joins_pool(id, refs.len()) {
-                            refs.push((id, d));
-                        }
-                    }
-                }
-                batch.tighten(qi, rs.best_so_far());
-                SeedOut {
-                    neighbors: rs.into_neighbors(),
-                    seeded,
-                    done,
-                    refs,
-                    c,
-                }
-            },
-        );
-
-        // Phase 4: the shared chunk scan over the still-open queries.
-        struct ChunkOut {
-            partials: Vec<Vec<Neighbor>>,
-            counters: Vec<BatchCounters>,
-        }
-        let chunks: Vec<ChunkOut> = trajsim_parallel::par_chunks(
-            n,
-            chunk_len,
-            || EdrWorkspace::with_capacity(max_pair),
-            |ws, range| {
-                let mut locals: Vec<ResultSet> = (0..nq).map(|_| ResultSet::new(k)).collect();
-                let mut counters = vec![BatchCounters::timed(); nq];
-                // Triangle pools start from the prefix scan's exact
-                // distances and grow chunk-locally.
-                let mut refs: Vec<Vec<(usize, usize)>> =
-                    seeds.iter().map(|s| s.refs.clone()).collect();
-                for id in range {
-                    // The candidate's arena block, loaded once per batch.
-                    let s_view = self.arena.view(id);
-                    for qi in 0..nq {
-                        if seeds[qi].done || seeds[qi].seeded[id / 64] >> (id % 64) & 1 == 1 {
-                            continue; // settled or visited in the prefix scan
-                        }
-                        let c = &mut counters[qi];
-                        let local = &mut locals[qi];
-                        let best = batch.bound(qi).min(local.best_so_far());
-                        if best != usize::MAX {
-                            if quick[id * nq + qi] > best {
-                                c.pruned_h += 1;
-                                continue;
-                            }
-                            let q_len = batch.ctx(qi).len();
-                            if self.batch_filters(c, id, q_len, best, &refs[qi], || {
-                                qgram_count(qi, id)
-                            }) {
-                                continue;
-                            }
-                        }
-                        let d = c.refine.step(batch.ctx(qi), id, s_view, best, local, ws);
-                        if let Some(d) = d {
-                            // `d` is exact (early abandoning returned a
-                            // value), so it can join this worker's
-                            // triangle reference pool.
-                            if self.joins_pool(id, refs[qi].len()) {
-                                refs[qi].push((id, d));
-                            }
-                            batch.tighten(qi, local.best_so_far());
-                        }
-                    }
-                }
-                ChunkOut {
-                    partials: locals.into_iter().map(ResultSet::into_neighbors).collect(),
-                    counters,
-                }
-            },
-        );
-        // Phase 5: per-query merge + stats assembly (accounting rules in
-        // `crate::batch`).
-        let wall_ns = elapsed_ns(t_batch);
-        let name = self.name();
-        let batch_id = next_batch_id();
-        let results: Vec<KnnResult> = (0..nq)
-            .map(|qi| {
-                let seed = &seeds[qi];
-                let mut stats = QueryStats {
-                    database_size: n,
-                    ..Default::default()
-                };
-                stats.timings.setup_ns = amortize(setup_ns, nq, qi);
-                stats.timings.histogram.filter_ns = amortize(quick_ns, nq, qi);
-                for c in
-                    std::iter::once(&seed.c).chain(chunks.iter().map(|chunk| &chunk.counters[qi]))
-                {
-                    stats.add_refine(&c.refine);
-                    stats.pruned_by_histogram += c.pruned_h;
-                    stats.pruned_by_qgram += c.pruned_q;
-                    stats.pruned_by_triangle += c.pruned_t;
-                    stats.timings.qgram.candidates_in += c.q_in;
-                    stats.timings.qgram.candidates_out += c.q_out;
-                    stats.timings.triangle.candidates_in += c.t_in;
-                    stats.timings.triangle.candidates_out += c.t_out;
-                }
-                stats.timings.total_ns = amortize(wall_ns, nq, qi);
-                let neighbors = merge_partials(
-                    k,
-                    std::iter::once(seed.neighbors.clone())
-                        .chain(chunks.iter().map(|ch| ch.partials[qi].clone())),
-                );
-                finish_query(
-                    &name,
-                    queries[qi].len(),
-                    k,
-                    Some(batch_id),
-                    &neighbors,
-                    &stats,
-                );
-                KnnResult { neighbors, stats }
-            })
-            .collect();
-        // Both shared passes (quick table + chunk scan) touch each
-        // candidate's signature once for the whole batch — except that
-        // the indexed path replaces the quick-table pass with probes
-        // that touch only occupied cells.
-        let signature_evals = if self.index.is_some() { n } else { 2 * n };
-        finish_batch(&name, nq, signature_evals as u64, wall_ns);
-        results
     }
 }
 
@@ -1259,19 +806,6 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
         } else {
             label
         }
-    }
-
-    /// HSR configurations answer a batch through the shared-work scan
-    /// (one dataset pass per batch); HSE configurations, whose visit
-    /// order is per query, answer one query at a time.
-    fn knn_batch(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult>
-    where
-        Self: Sync,
-    {
-        if queries.len() <= 1 || self.config.scan == ScanMode::Sequential {
-            return trajsim_parallel::par_map(queries, |_, q| self.knn(q, k));
-        }
-        self.knn_batch_scan(queries, k)
     }
 }
 

@@ -435,8 +435,9 @@ pub(crate) fn elapsed_ns(start: std::time::Instant) -> u64 {
 /// The shared end-of-query epilogue: stamps the query's total wall time
 /// from its start instant, runs [`finish_query`] (metrics, spans, flight
 /// record), and packages the [`KnnResult`]. Every per-query engine path
-/// ends here; the shared-work batched paths keep their own epilogue
-/// because they amortize timings across the batch before reporting.
+/// ends here; the sequential scan's shared batched path keeps its own
+/// epilogue because it amortizes timings across the batch before
+/// reporting.
 pub(crate) fn finalize_query(
     engine: &str,
     query_len: usize,
@@ -483,14 +484,15 @@ pub trait KnnEngine<const D: usize> {
     /// permute among equal distances).
     ///
     /// The default runs one task per query in parallel (dynamic chunking;
-    /// thread count per `trajsim-parallel`). Engines with a shared-work
-    /// batched path — the sequential scan and the combined engine —
-    /// override it to traverse the dataset **once per batch**: workers
-    /// scan candidate chunks against every live query, evaluating each
-    /// candidate's signature once and merging per-query best-k bounds
-    /// through shared atomics (see `crate::batch` for the stats
-    /// accounting of batched results). Engines answer through `&self`, so
-    /// one instance serves every worker thread.
+    /// thread count per `trajsim-parallel`), so each answer, its ids and
+    /// its per-query counters are exactly those of [`Self::knn`]; every
+    /// pruning engine, `CombinedKnn` included, uses it. The sequential
+    /// scan overrides it to traverse the dataset **once per batch**:
+    /// workers scan candidate chunks against every query, loading each
+    /// candidate once and merging per-query best-k bounds through shared
+    /// atomics (see `crate::batch` for the stats accounting of batched
+    /// results). Engines answer through `&self`, so one instance serves
+    /// every worker thread.
     fn knn_batch(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult>
     where
         Self: Sync,

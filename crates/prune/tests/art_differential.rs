@@ -11,7 +11,8 @@
 //!    bound never exceeds the true EDR; untouched ids are at exactly
 //!    max-length distance.
 //! 3. **Identical answers**: indexed and plain engines return identical
-//!    k-NN distance multisets, per-query and batched.
+//!    k-NN distance multisets per query, and each answers a batch exactly
+//!    as it answers its queries one by one (ids and funnel counters).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +23,9 @@ use trajsim_prune::{
     ScanMode, SequentialScan,
 };
 use trajsim_qgram::SortedMeans;
+
+mod common;
+use common::assert_batch_equals_per_query;
 
 fn eps(v: f64) -> MatchThreshold {
     MatchThreshold::new(v).unwrap()
@@ -119,8 +123,9 @@ fn art_candidates_superset_of_merge_join_with_dominating_bounds() {
     }
 }
 
-/// Indexed and plain engines return identical distance multisets — per
-/// query, batched, and against the sequential-scan ground truth.
+/// Indexed and plain engines return identical distance multisets per
+/// query, against the sequential-scan ground truth, and each engine's
+/// batch equals its per-query answers.
 #[test]
 fn art_knn_answers_are_identical_distance_multisets() {
     for seed in 0..4u64 {
@@ -146,15 +151,8 @@ fn art_knn_answers_are_identical_distance_multisets() {
                     "seed {seed} query {qi}: plain per-query diverged"
                 );
             }
-            let batch_indexed = indexed.knn_batch(&queries, 6);
-            let batch_plain = plain.knn_batch(&queries, 6);
-            for (qi, (a, b)) in batch_indexed.iter().zip(&batch_plain).enumerate() {
-                assert_eq!(
-                    a.distances(),
-                    b.distances(),
-                    "seed {seed} query {qi}: batched diverged"
-                );
-            }
+            assert_batch_equals_per_query(&plain, &queries, 6, &format!("seed {seed}"));
+            assert_batch_equals_per_query(&indexed, &queries, 6, &format!("seed {seed} art"));
         }
     }
 }

@@ -1,16 +1,25 @@
-//! Differential tests for the shared-work batched k-NN paths: for every
-//! engine with a batched implementation and every filter order,
-//! `knn_batch` must return, per query, exactly the distance multiset of
-//! per-query `knn` on randomized datasets. Neighbor ids may permute among
-//! equal distances (early abandoning drops ties in a schedule-dependent
-//! way); distances may not change.
+//! Differential tests for `knn_batch`, the two batch contracts:
+//!
+//! - `CombinedKnn` answers a batch as parallel per-query cascades, so
+//!   every query's answer — neighbour ids and distances — and its funnel
+//!   counters (EDR calls, DP cells, per-filter prune credit, each stage's
+//!   candidate flow) equal per-query `knn`'s exactly, for every filter
+//!   order, scan, histogram variant, candidate source and thread count.
+//! - `SequentialScan` walks the dataset once per batch; it must return,
+//!   per query, exactly the distance multiset of per-query `knn`.
+//!   Neighbour ids may permute among equal distances (early abandoning
+//!   drops ties in a schedule-dependent way); distances may not change.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajsim_core::{Dataset, MatchThreshold, Trajectory2};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, ScanMode, SequentialScan,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, QueryStats, ScanMode,
+    SequentialScan,
 };
+
+mod common;
+use common::assert_batch_equals_per_query;
 
 fn eps(v: f64) -> MatchThreshold {
     MatchThreshold::new(v).unwrap()
@@ -96,8 +105,34 @@ fn seqscan_batched_distances_match_per_query() {
     }
 }
 
+/// Every filter order (the six of Figure 11 plus `H` and `N`) × HSE/HSR
+/// × per-dimension/grid histograms.
+fn combined_configs() -> Vec<CombinedConfig> {
+    let orders = PruneOrder::ALL
+        .into_iter()
+        .chain([PruneOrder::H, PruneOrder::N]);
+    let mut out = Vec::new();
+    for order in orders {
+        for histogram in [
+            HistogramVariant::PerDimension,
+            HistogramVariant::Grid { delta: 1 },
+        ] {
+            for scan in [ScanMode::Sequential, ScanMode::Sorted] {
+                out.push(CombinedConfig {
+                    order,
+                    histogram,
+                    qgram_q: 1,
+                    max_triangle: 16,
+                    scan,
+                });
+            }
+        }
+    }
+    out
+}
+
 #[test]
-fn combined_batched_distances_match_per_query_for_every_order() {
+fn combined_batch_equals_per_query_for_every_configuration() {
     let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let db = random_db(21, 60, 18);
     let queries: Vec<Trajectory2> = random_db(77, 8, 18).trajectories().to_vec();
@@ -105,26 +140,23 @@ fn combined_batched_distances_match_per_query_for_every_order() {
     for threads in [1, 4] {
         trajsim_parallel::set_num_threads(threads);
         let _guard = ResetThreads;
-        let orders = PruneOrder::ALL.iter().map(|&order| CombinedConfig {
-            order,
-            histogram: HistogramVariant::PerDimension,
-            qgram_q: 1,
-            max_triangle: 16,
-            scan: ScanMode::Sorted,
-        });
-        // Histogram pruning alone over the sorted scan (1HE-HSR) takes
-        // the shared batched scan too.
-        let hsr = CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted);
-        for config in orders.chain([hsr]) {
+        for config in combined_configs() {
             let engine = CombinedKnn::build(&db, e, config);
             let label = format!("{} t={threads}", engine.name());
-            assert_batch_matches_per_query(&engine, &queries, 5, &label);
+            assert_batch_equals_per_query(&engine, &queries, 5, &label);
+            // The signature index needs q-gram means next to the
+            // histograms, which only the three-filter orders embed.
+            if PruneOrder::ALL.contains(&config.order) {
+                let indexed = CombinedKnn::build(&db, e, config).with_index();
+                let label = format!("{} t={threads}", indexed.name());
+                assert_batch_equals_per_query(&indexed, &queries, 5, &label);
+            }
         }
     }
 }
 
 #[test]
-fn combined_batched_matches_with_grid_histograms_and_varied_k() {
+fn combined_batch_equals_per_query_with_coarse_grids_and_varied_k() {
     let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     trajsim_parallel::set_num_threads(4);
     let _guard = ResetThreads;
@@ -133,14 +165,14 @@ fn combined_batched_matches_with_grid_histograms_and_varied_k() {
     let e = eps(0.5);
     let config = CombinedConfig {
         order: PruneOrder::HQN,
-        histogram: HistogramVariant::Grid { delta: 1 },
+        histogram: HistogramVariant::Grid { delta: 2 },
         qgram_q: 2,
         max_triangle: 12,
         scan: ScanMode::Sorted,
     };
     let engine = CombinedKnn::build(&db, e, config);
     for k in [1, 4, 10, 60] {
-        assert_batch_matches_per_query(&engine, &queries, k, "grid");
+        assert_batch_equals_per_query(&engine, &queries, k, "grid");
     }
 }
 
@@ -161,15 +193,14 @@ fn batched_edge_cases_degrade_gracefully() {
         assert_eq!(res.neighbors.len(), db.len());
     }
     let combined = CombinedKnn::build(&db, e, CombinedConfig::default());
-    for (res, q) in combined.knn_batch(&queries, 50).iter().zip(&queries) {
-        assert_eq!(res.distances(), combined.knn(q, 50).distances());
-    }
+    assert_batch_equals_per_query(&combined, &queries, 50, "k > N");
 }
 
-/// Batch accounting: accumulating the per-query stats of one batch must
-/// reproduce the batch totals exactly once — amortized wall-time shares
-/// sum back to the batch measurement, dp_cells and candidate flow are
-/// exact sums, and `database_size` adds up to `N × batch size`.
+/// Batch accounting of the sequential scan's shared pass: accumulating
+/// the per-query stats of one batch must reproduce the batch totals
+/// exactly once — amortized wall-time shares sum back to the batch
+/// measurement, dp_cells are exact sums, and `database_size` adds up to
+/// `N × batch size`.
 #[test]
 fn batched_stats_amortize_without_double_counting() {
     let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -178,9 +209,9 @@ fn batched_stats_amortize_without_double_counting() {
     let db = random_db(61, 40, 14);
     let queries: Vec<Trajectory2> = random_db(62, 5, 14).trajectories().to_vec();
     let e = eps(0.6);
-    let engine = CombinedKnn::build(&db, e, CombinedConfig::default());
+    let engine = SequentialScan::new(&db, e).with_early_abandon();
     let results = engine.knn_batch(&queries, 4);
-    let mut acc = trajsim_prune::QueryStats::default();
+    let mut acc = QueryStats::default();
     for r in &results {
         acc.accumulate(&r.stats);
     }
