@@ -7,8 +7,8 @@ use std::hint::black_box;
 use trajsim_core::MatchThreshold;
 use trajsim_data::{random_walk, seeded_rng};
 use trajsim_distance::{
-    dtw, dtw_banded, edr, edr_bitparallel, edr_naive, edr_within, edr_within_banded,
-    edr_within_naive, erp, euclidean, lcss,
+    dtw, dtw_banded, edr, edr_bitparallel, edr_naive, edr_within, edr_within_naive, erp, euclidean,
+    lcss,
 };
 use trajsim_histogram::{histogram_distance, histogram_distance_quick, TrajectoryHistogram};
 use trajsim_index::{Aabb, BPlusTree, RStarTree};
@@ -51,9 +51,10 @@ fn bench_distance_dps(c: &mut Criterion) {
 }
 
 /// The EDR kernel hierarchy head-to-head: naive rolling-row vs the
-/// bit-parallel full DP, and naive early-abandon vs the Ukkonen band,
-/// at bounds of 1%, 5%, and 25% of the trajectory length (the regimes
-/// where the band is respectively tiny, moderate, and wide).
+/// bit-parallel full DP, and naive early-abandon vs the sliding-band
+/// bit-parallel kernel behind `edr_within`, at bounds of 1%, 5%, and 25%
+/// of the trajectory length (the regimes where the band is respectively
+/// one word, a few words, and most of the pattern).
 fn bench_edr_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("edr_kernels");
     for len in [64usize, 256, 1024] {
@@ -72,11 +73,6 @@ fn bench_edr_kernels(c: &mut Criterion) {
                 BenchmarkId::new(format!("within_naive_b{pct}pct"), len),
                 &len,
                 |bch, _| bch.iter(|| black_box(edr_within_naive(&a, &b, eps(), bound))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("within_banded_b{pct}pct"), len),
-                &len,
-                |bch, _| bch.iter(|| black_box(edr_within_banded(&a, &b, eps(), bound))),
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("within_dispatch_b{pct}pct"), len),

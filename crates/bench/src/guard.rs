@@ -217,7 +217,9 @@ fn measure(cases: Vec<Case<'_>>, anchor: &str, suite: &str, cfg: &GuardConfig) -
 ///   allocation (the pre-workspace behaviour) against the reused
 ///   query-scoped workspace over arena views (anchor: the allocating
 ///   path at the longest length), so the allocation-free path's
-///   advantage is itself guarded.
+///   advantage is itself guarded; `refine_bounded_*` times the bounded
+///   refine (`QueryContext::edr_within_counted` at a k-th best bound on
+///   normalized walks), the sliding-band kernel with rank-mask words.
 /// - `throughput` times a fixed k-NN workload of the combined engine end
 ///   to end through `knn_batch` at batch sizes 1, 16 and 256 against one
 ///   parallel task per query over the whole workload (the anchor): a
@@ -419,6 +421,24 @@ fn run_refine(cfg: &GuardConfig) -> SuiteRun {
         });
         let mut ws = EdrWorkspace::with_capacity(arena.max_len());
         let ctx = QueryContext::new(arena.view(0), *eps);
+        // The bounded refine every engine runs once its top-k is full, on
+        // the walks normalized as the CLI does, at the retrieval ε and a
+        // k-th best bound (k = 5, the query itself included). Each
+        // repetition is a fresh query: a new context, whose rank masks
+        // the first bounded call builds. A bounded pass is ~10x cheaper
+        // than a full one, so it runs 10x the repetitions.
+        let normalized = ds.normalize();
+        let retrieval = crate::retrieval_eps(&normalized);
+        let normalized = TrajectoryArena::from_dataset(&normalized);
+        let bound = {
+            let kth = QueryContext::new(normalized.view(0), retrieval);
+            let mut d: Vec<usize> = normalized
+                .views()
+                .map(|(_, s)| kth.edr(s, &mut ws))
+                .collect();
+            d.sort_unstable();
+            d[4]
+        };
         cases.push(Case {
             name: format!("refine_ws_{len}"),
             // The allocation-free refine loop: one query context, one
@@ -429,6 +449,19 @@ fn run_refine(cfg: &GuardConfig) -> SuiteRun {
                 for _ in 0..reps {
                     for (_, s) in arena.views() {
                         std::hint::black_box(ctx.edr_counted(s, &mut ws));
+                    }
+                }
+                None
+            }),
+        });
+        let mut bounded_ws = EdrWorkspace::with_capacity(arena.max_len());
+        cases.push(Case {
+            name: format!("refine_bounded_{len}"),
+            work: Box::new(move || {
+                for _ in 0..10 * reps {
+                    let ctx = QueryContext::new(normalized.view(0), retrieval);
+                    for (_, s) in normalized.views() {
+                        std::hint::black_box(ctx.edr_within_counted(s, bound, &mut bounded_ws));
                     }
                 }
                 None

@@ -1,7 +1,7 @@
 //! EDR — Edit Distance on Real sequence (Definition 2), the paper's
 //! contribution.
 
-use crate::kernel;
+use crate::kernel::{self, RankMasks};
 use crate::workspace::{with_workspace, EdrWorkspace};
 use std::collections::HashMap;
 use trajsim_core::{CoordSeq, MatchThreshold, Trajectory};
@@ -92,9 +92,12 @@ fn full_counted<const D: usize, O: CoordSeq<D>, I: CoordSeq<D>>(
 
 /// Early-abandoning EDR: returns `Some(EDR(R, S))` if it is at most
 /// `bound`, `None` otherwise — typically 10–100× cheaper than [`edr`] when
-/// the bound is tight, because a whole DP row exceeding the bound proves the
-/// final distance does too (every DP path extends some entry of the row and
-/// costs are non-negative).
+/// the bound is tight. Only the cells within `bound` of the diagonal can
+/// stay within the bound (`D[i][j] >= |i - j|`), so the sliding-band
+/// bit-parallel kernel (see [`crate::kernel`]) keeps ⌈(2·bound+1)/64⌉
+/// words per DP row, and it stops as soon as the cell on the target
+/// diagonal passes the bound: values never fall along a diagonal, so
+/// that cell lower-bounds the final distance.
 ///
 /// Every k-NN engine in `trajsim-prune` calls this with the current
 /// best-so-far k-th distance after its lower-bound filter passes.
@@ -119,8 +122,9 @@ pub fn edr_within<const D: usize>(
 }
 
 /// [`edr_within`] plus the number of DP cells the computation
-/// materialized (0 when a pre-check or the `bound == 0` pointwise scan
-/// decided without running a DP).
+/// materialized: 64 bit lanes per band word per row processed, or 0 when
+/// a pre-check or the `bound == 0` pointwise scan decided without running
+/// a DP.
 pub fn edr_within_counted<const D: usize>(
     r: &Trajectory<D>,
     s: &Trajectory<D>,
@@ -140,52 +144,57 @@ pub fn edr_within_counted_with<const D: usize, A: CoordSeq<D>, B: CoordSeq<D>>(
     bound: usize,
     ws: &mut EdrWorkspace,
 ) -> (Option<usize>, u64) {
-    // Lengths alone already decide some cases: EDR >= |m - n|.
-    if r.len().abs_diff(s.len()) > bound {
-        return (None, 0);
-    }
-    if r.len() >= s.len() {
-        within_counted(r, s, eps, bound, ws)
-    } else {
-        within_counted(s, r, eps, bound, ws)
-    }
+    within_counted(r, s, eps, bound, ws, || None)
 }
 
-/// Bounded-distance dispatch; `outer.len() >= inner.len()` and the length
-/// pre-check has passed.
-fn within_counted<const D: usize, O: CoordSeq<D>, I: CoordSeq<D>>(
-    outer: O,
-    inner: I,
+/// Bounded-distance dispatch. `ranks` yields the rank masks of `query`
+/// (a [`QueryContext`](crate::QueryContext)'s, built on first use); it is
+/// called only when a DP runs, and its `None` means compare-built match
+/// words.
+pub(crate) fn within_counted<'m, const D: usize, A: CoordSeq<D>, B: CoordSeq<D>>(
+    query: A,
+    candidate: B,
     eps: MatchThreshold,
     bound: usize,
     ws: &mut EdrWorkspace,
+    ranks: impl FnOnce() -> Option<&'m RankMasks<D>>,
 ) -> (Option<usize>, u64) {
-    if inner.is_empty() {
-        // <= bound by the length pre-check; covers outer empty too.
-        return (Some(outer.len()), 0);
+    let (m, n) = (query.len(), candidate.len());
+    // Lengths alone already decide some cases: EDR >= |m - n|.
+    if m.abs_diff(n) > bound {
+        return (None, 0);
+    }
+    if m == 0 || n == 0 {
+        // <= bound by the length pre-check.
+        return (Some(m.max(n)), 0);
     }
     if bound == 0 {
         // Equal lengths (pre-check) and no edits allowed: EDR is 0 iff
         // every aligned pair ε-matches — a pointwise scan, no DP rows or
         // allocation at all.
         let e = eps.value();
-        let all = (0..outer.len()).all(|i| kernel::coord_match(outer, i, inner, i, e) == 1);
+        let all = (0..m).all(|i| kernel::coord_match(query, i, candidate, i, e) == 1);
         return (all.then_some(0), 0);
     }
-    #[cfg(feature = "naive-kernel")]
-    {
-        kernel::within_naive_counted(outer, inner, eps, bound, ws)
-    }
-    #[cfg(not(feature = "naive-kernel"))]
-    {
-        if 2 * bound + 1 >= inner.len() {
-            // The band would cover (nearly) every column; the full
-            // bit-parallel kernel is cheaper than a banded scalar DP.
-            let (d, cells) = kernel::bitparallel_counted(outer, inner, eps, ws);
-            ((d <= bound).then_some(d), cells)
+    if cfg!(feature = "naive-kernel") {
+        return if m >= n {
+            kernel::within_naive_counted(query, candidate, eps, bound, ws)
         } else {
-            kernel::within_banded_counted(outer, inner, eps, bound, ws)
+            kernel::within_naive_counted(candidate, query, eps, bound, ws)
+        };
+    }
+    // The query is the pattern unless that would take more lanes than
+    // the full DP, whose pattern is the shorter side.
+    let full_words = m.min(n).div_ceil(64) * m.max(n);
+    if n * kernel::band_words(m, bound) <= full_words {
+        if let Some(ranks) = ranks() {
+            return ranks.within_counted(candidate, eps, bound, ws);
         }
+    }
+    if m >= n {
+        kernel::within_compare_counted(query, candidate, eps, bound, ws)
+    } else {
+        kernel::within_compare_counted(candidate, query, eps, bound, ws)
     }
 }
 

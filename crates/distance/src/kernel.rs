@@ -6,15 +6,19 @@
 //! - **naive** — the textbook O(m·n) rolling-row DP, kept as the
 //!   differential-testing oracle and selectable via the `naive-kernel`
 //!   feature;
-//! - **banded** — Ukkonen's observation that `D[i][j] >= |i - j|` lets a
-//!   bounded computation fill only the cells with `|i - j| <= bound`,
-//!   O(m·min(2·bound+1, n)) instead of O(m·n);
 //! - **bit-parallel** — Myers/Hyyrö bit-vector edit distance. EDR is
 //!   exactly unit-cost Levenshtein with "character equality" replaced by
 //!   the ε-match relation, and the Myers recurrence never needs that
 //!   relation to be transitive: the match bit-vector is rebuilt per outer
 //!   element with branch-free compares, then each DP row collapses to a
-//!   handful of word operations per 64 inner elements.
+//!   handful of word operations per 64 inner elements;
+//! - **sliding band** — the bounded form of the same recurrence. Since
+//!   `D[i][j] >= |i - j|`, only the `2·bound + 1` cells around the
+//!   diagonal can stay within a bound, so each row keeps just
+//!   ⌈(2·bound+1)/64⌉ words that slide one position per row, and the
+//!   cell on the target diagonal — a lower bound on the final distance —
+//!   abandons the DP as soon as it passes the bound
+//!   (`within_band_counted`).
 //!
 //! Every kernel is generic over [`CoordSeq`], so plain `&[Point<D>]`
 //! slices, columnar [`TrajectoryArena`](trajsim_core::TrajectoryArena)
@@ -26,16 +30,25 @@
 //!
 //! Every kernel also reports how many DP cells it materialized, surfaced
 //! as `QueryStats::dp_cells` by the k-NN engines in `trajsim-prune`:
-//! m·n for naive, the band area for banded, and
-//! m·64·⌈n/64⌉ bit lanes for bit-parallel (padding lanes included — they
-//! are computed, that is the point).
+//! m·n for naive, and 64 bit lanes per word per row processed for both
+//! bit-vector kernels — m·64·⌈n/64⌉ for the full one, and
+//! rows·64·⌈(2·bound+1)/64⌉ for the band (padding lanes included — they
+//! are computed, that is the point). A narrow band therefore counts more
+//! lanes than the scalar cells it replaces while taking less time; it
+//! never counts more than the full kernel, because its window is capped
+//! at the words the whole pattern needs.
 //!
 //! Dispatch (in [`crate::edr`] / [`crate::edr_within`]): `edr` uses the
-//! bit-parallel kernel; `edr_within` uses the banded kernel while the
-//! band is narrower than the inner sequence and the bit-parallel kernel
-//! once the bound stops excluding anything. The `naive-kernel` feature
-//! reroutes both to the naive kernel so any result can be reproduced on
-//! the reference path.
+//! bit-parallel kernel, and every bounded call with `bound >= 1` runs
+//! the sliding band. Its match words come from one of two builders:
+//! through a [`QueryContext`](crate::QueryContext), the query is the
+//! pattern and each candidate point's word is cut from the query's
+//! per-dimension rank masks (`RankMasks`: two galloping searches per
+//! dimension and a window extract); the free functions, and a context
+//! whose query is non-finite or longer than `RANK_MASK_MAX_LEN` (1024),
+//! compare the band's cells directly, with the shorter sequence as the
+//! pattern. The `naive-kernel` feature reroutes both entry points to the
+//! naive kernel so any result can be reproduced on the reference path.
 
 use crate::workspace::EdrWorkspace;
 use trajsim_core::{CoordSeq, MatchThreshold, Point, Trajectory};
@@ -125,58 +138,302 @@ pub(crate) fn within_naive_counted<const D: usize, O: CoordSeq<D>, I: CoordSeq<D
     ((prev[n] <= bound).then_some(prev[n]), cells)
 }
 
-/// Ukkonen-banded bounded DP: fills only the cells with
-/// `|i - j| <= bound` (every other cell is at least `bound + 1` because
-/// `D[i][j] >= |i - j|`), with whole-band early abandoning.
+/// Sliding-band Myers/Hyyrö bounded EDR with a diagonal cut-off,
+/// counting materialized bit lanes.
 ///
-/// Callers guarantee `outer.len() >= inner.len()`,
-/// `outer.len() - inner.len() <= bound`, `bound >= 1`, and `inner`
-/// non-empty.
-pub(crate) fn within_banded_counted<const D: usize, O: CoordSeq<D>, I: CoordSeq<D>>(
-    outer: O,
-    inner: I,
+/// The text (`text_len` elements) is consumed one element per DP column;
+/// the pattern (`pattern_len` elements) is the bit dimension, as in
+/// [`bitparallel_counted`]. Only cells with `|p - j| <= bound` (pattern
+/// position `p`, text position `j`) can hold a value `<= bound`, because
+/// `D[i][j] >= |i - j|`. So each column keeps only a window of
+/// `64·words` pattern rows in the vertical-delta vectors, with
+/// `words = min(⌈(2·bound+1)/64⌉, ⌈pattern_len/64⌉)` ([`band_words`]).
+/// The window starts at pattern position
+/// `clamp(j - bound, 0, pattern_len - 64·words)`: it slides down one row
+/// per column through the middle of the DP and stands still at either
+/// end, so it holds no row outside the pattern except the padding below
+/// a pattern shorter than one window.
+///
+/// Cells outside the window are taken as their in-window neighbour + 1:
+/// a row entering at the bottom gets vertical delta +1, and the row above
+/// the window horizontal delta +1. Such a cell lies more than `bound` off
+/// the diagonal, next to a cell that is already `>= bound`, so its stand-in
+/// is above the bound; and any value above the bound keeps every
+/// in-window value `<= bound` exact, because `min(D, bound + 1)` of a cell
+/// depends only on `min(·, bound + 1)` of its three predecessors.
+///
+/// DP values never fall along a diagonal, so the cell on the target
+/// diagonal `p - j = pattern_len - text_len` lower-bounds the final
+/// distance. Each column computes that cell from the value of the row
+/// just above the window plus two popcounts of the vertical deltas down
+/// to it, and the kernel abandons as soon as it passes `bound`.
+///
+/// `fill(j, p0, eq)` writes text element `j`'s ε-match word(s) against
+/// pattern positions `p0..p0 + 64·eq.len()` (bit `k` ↔ position
+/// `p0 + k`). It must set the bits of the positions within `bound` of
+/// `j` exactly; every other bit may be anything, since a lane off the
+/// band only ever holds a value above the bound.
+///
+/// Callers guarantee both lengths non-zero, `bound >= 1` and
+/// `text_len.abs_diff(pattern_len) <= bound`.
+pub(crate) fn within_band_counted(
+    text_len: usize,
+    pattern_len: usize,
+    bound: usize,
+    ws: &mut EdrWorkspace,
+    mut fill: impl FnMut(usize, usize, &mut [u64]),
+) -> (Option<usize>, u64) {
+    let (m, n) = (text_len, pattern_len);
+    // EDR <= max(m, n): a wider band changes nothing.
+    let b = bound.min(m.max(n));
+    let words = band_words(n, b);
+    let last_p0 = n.saturating_sub(64 * words);
+    // Column 0: D[i][0] = i, every vertical delta +1 (`bits` sets VP).
+    let (vp, vn, eq) = ws.bits(words);
+    let mut p0 = 0;
+    // D[p0][j], the row just above the window (row 0 is the boundary).
+    let mut above = 0usize;
+    let mut d = m.abs_diff(n);
+    for j in 0..m {
+        // Whether the window slides or not, the row above it gains one
+        // from the left: the boundary row, or a cell off the band.
+        above += 1;
+        if j.saturating_sub(b).min(last_p0) > p0 {
+            // The window's first row becomes the row above it.
+            above = above + (vp[0] & 1) as usize - (vn[0] & 1) as usize;
+            for w in 0..words {
+                let (up, un) = if w + 1 < words {
+                    (vp[w + 1], vn[w + 1])
+                } else {
+                    (1, 0)
+                };
+                vp[w] = (vp[w] >> 1) | (up << 63);
+                vn[w] = (vn[w] >> 1) | (un << 63);
+            }
+            p0 += 1;
+        }
+        fill(j, p0, eq);
+        // Top boundary: horizontal delta +1 into the window's first row.
+        let mut hin: i32 = 1;
+        for w in 0..words {
+            let pv = vp[w];
+            let mv = vn[w];
+            let mut eqw = eq[w];
+            let xv = eqw | mv;
+            eqw |= u64::from(hin < 0);
+            let xh = (((eqw & pv).wrapping_add(pv)) ^ pv) | eqw;
+            let ph = mv | !(xh | pv);
+            let mh = pv & xh;
+            let hout: i32 = (((ph >> 63) & 1) as i32) - (((mh >> 63) & 1) as i32);
+            let mut ph = ph << 1;
+            let mut mh = mh << 1;
+            match hin {
+                1 => ph |= 1,
+                -1 => mh |= 1,
+                _ => {}
+            }
+            vp[w] = mh | !(xv | ph);
+            vn[w] = ph & xv;
+            hin = hout;
+        }
+        // The target diagonal reaches the pattern at column m - n; above
+        // it, its cells extend the boundary with the constant |m - n|.
+        if let Some(p) = (j + n).checked_sub(m) {
+            let k = p - p0;
+            let (last, bit) = (k / 64, k % 64);
+            let (mut up, mut down) = (0, 0);
+            for w in 0..last {
+                up += vp[w].count_ones();
+                down += vn[w].count_ones();
+            }
+            let mask = u64::MAX >> (63 - bit);
+            up += (vp[last] & mask).count_ones();
+            down += (vn[last] & mask).count_ones();
+            d = above + up as usize - down as usize;
+            if d > bound {
+                return (None, (64 * words * (j + 1)) as u64);
+            }
+        }
+    }
+    (Some(d), (64 * words * m) as u64)
+}
+
+/// The words of [`within_band_counted`]'s window: enough for the
+/// `2·bound + 1` band cells of a column, but never more than the whole
+/// pattern needs, so the band kernel's lanes never exceed the full
+/// bit-parallel kernel's.
+pub(crate) fn band_words(pattern_len: usize, bound: usize) -> usize {
+    (2 * bound.min(pattern_len) + 1)
+        .div_ceil(64)
+        .min(pattern_len.div_ceil(64))
+}
+
+/// [`within_band_counted`] with match words built by direct compares,
+/// only for the band's cells.
+pub(crate) fn within_compare_counted<const D: usize, T: CoordSeq<D>, P: CoordSeq<D>>(
+    text: T,
+    pattern: P,
     eps: MatchThreshold,
     bound: usize,
     ws: &mut EdrWorkspace,
 ) -> (Option<usize>, u64) {
-    let (m, n) = (outer.len(), inner.len());
-    let e = eps.value();
-    // Any value above `bound` behaves identically; clamping to this
-    // sentinel keeps out-of-band reads harmless.
-    let sentinel = bound + 1;
-    let (prev, curr) = ws.rows(n + 1, sentinel);
-    for (j, slot) in prev.iter_mut().enumerate().take(n.min(bound) + 1) {
-        *slot = j; // row 0: D[0][j] = j where it is in band
+    let (e, n) = (eps.value(), pattern.len());
+    let b = bound.min(text.len().max(n));
+    within_band_counted(text.len(), n, bound, ws, |j, p0, eq| {
+        let (lo, hi) = (j.saturating_sub(b), n.min(j + b + 1));
+        for (w, slot) in eq.iter_mut().enumerate() {
+            let base = p0 + 64 * w;
+            let mut word = 0;
+            for p in lo.max(base)..hi.min(base + 64) {
+                word |= coord_match(text, j, pattern, p, e) << (p - base);
+            }
+            *slot = word;
+        }
+    })
+}
+
+/// Query lengths above this keep the compare-built match words: the rank
+/// masks take `(len + 1)·⌈len/64⌉` words per dimension, 128 KiB at the
+/// cap.
+pub(crate) const RANK_MASK_MAX_LEN: usize = 1024;
+
+/// Per-query rank masks: a candidate coordinate's ε-match set against the
+/// query, from two searches per dimension instead of one compare per
+/// query point.
+///
+/// For each dimension the query's coordinates are sorted, and prefix
+/// mask `r` holds the query positions of the `r` smallest. `fl(q - v)` is
+/// monotone in `q`, so the query points with `fl(q - v) < -ε` and those
+/// with `fl(q - v) <= ε` are two prefixes of the sorted order, and their
+/// difference is exactly the set [`coord_match`] accepts — ε boundary and
+/// NaN candidates included (a NaN makes both prefixes empty).
+#[derive(Debug, Clone)]
+pub(crate) struct RankMasks<const D: usize> {
+    len: usize,
+    words: usize,
+    /// Dimension-major sorted coordinates.
+    sorted: Vec<f64>,
+    /// Dimension-major, `len + 1` masks of `words` words per dimension.
+    prefix: Vec<u64>,
+}
+
+impl<const D: usize> RankMasks<D> {
+    /// The masks of `query`, or `None` for an empty, over-long or
+    /// non-finite query (where `fl(q - v)` would not be monotone).
+    pub(crate) fn build<Q: CoordSeq<D>>(query: Q) -> Option<Self> {
+        let len = query.len();
+        if len == 0 || len > RANK_MASK_MAX_LEN {
+            return None;
+        }
+        let words = len.div_ceil(64);
+        let mut sorted = Vec::with_capacity(D * len);
+        let mut prefix = vec![0u64; D * (len + 1) * words];
+        let mut order: Vec<usize> = Vec::with_capacity(len);
+        for (d, masks) in prefix.chunks_exact_mut((len + 1) * words).enumerate() {
+            if (0..len).any(|i| !query.coord(i, d).is_finite()) {
+                return None;
+            }
+            order.clear();
+            order.extend(0..len);
+            order.sort_unstable_by(|&a, &b| query.coord(a, d).total_cmp(&query.coord(b, d)));
+            sorted.extend(order.iter().map(|&i| query.coord(i, d)));
+            for (r, &i) in order.iter().enumerate() {
+                let (done, next) = masks.split_at_mut((r + 1) * words);
+                next[..words].copy_from_slice(&done[r * words..]);
+                next[i / 64] |= 1 << (i % 64);
+            }
+        }
+        Some(RankMasks {
+            len,
+            words,
+            sorted,
+            prefix,
+        })
     }
-    let mut cells = 0u64;
-    for i in 1..=m {
-        let lo = i.saturating_sub(bound).max(1);
-        let hi = (i + bound).min(n);
-        curr[0] = if i <= bound { i } else { sentinel };
-        if lo > 1 {
-            curr[lo - 1] = sentinel; // stale cell from two rows ago
-        }
-        let mut row_min = curr[0];
-        for j in lo..=hi {
-            let subcost = usize::from(coord_match(outer, i - 1, inner, j - 1, e) == 0);
-            let v = (prev[j - 1] + subcost)
-                .min(prev[j] + 1)
-                .min(curr[j - 1] + 1)
-                .min(sentinel);
-            curr[j] = v;
-            row_min = row_min.min(v);
-        }
-        cells += (hi + 1 - lo) as u64;
-        if row_min > bound {
-            return (None, cells);
-        }
-        if hi < n {
-            curr[hi + 1] = sentinel; // next row reads one past this band
-        }
-        std::mem::swap(prev, curr);
+
+    /// [`within_band_counted`] with the query as the pattern and each
+    /// match word built from the masks; `text` is the candidate.
+    pub(crate) fn within_counted<T: CoordSeq<D>>(
+        &self,
+        text: T,
+        eps: MatchThreshold,
+        bound: usize,
+        ws: &mut EdrWorkspace,
+    ) -> (Option<usize>, u64) {
+        let e = eps.value();
+        // Each dimension's two prefix lengths for the previous candidate
+        // point: a trajectory moves little between samples, so galloping
+        // from them is a few compares.
+        let mut hints = [[0usize; 2]; D];
+        within_band_counted(text.len(), self.len, bound, ws, |j, p0, eq| {
+            for (d, hint) in hints.iter_mut().enumerate() {
+                let v = text.coord(j, d);
+                let sorted = &self.sorted[d * self.len..(d + 1) * self.len];
+                let lo = gallop(sorted, hint[0], |q| q - v < -e);
+                let hi = gallop(sorted, hint[1], |q| q - v <= e);
+                *hint = [lo, hi];
+                let masks = &self.prefix[d * (self.len + 1) * self.words..];
+                let below = &masks[lo * self.words..(lo + 1) * self.words];
+                let within = &masks[hi * self.words..(hi + 1) * self.words];
+                for (w, slot) in eq.iter_mut().enumerate() {
+                    let at = p0 + 64 * w;
+                    let word = bits_at(within, at) & !bits_at(below, at);
+                    *slot = if d == 0 { word } else { *slot & word };
+                }
+            }
+        })
     }
-    let d = prev[n];
-    ((d <= bound).then_some(d), cells)
+}
+
+/// The 64 bits of `mask` starting at bit `at`, zero past its end.
+#[inline(always)]
+fn bits_at(mask: &[u64], at: usize) -> u64 {
+    let (w, s) = (at / 64, at % 64);
+    let low = mask.get(w).copied().unwrap_or(0);
+    if s == 0 {
+        low
+    } else {
+        (low >> s) | (mask.get(w + 1).copied().unwrap_or(0) << (64 - s))
+    }
+}
+
+/// The length of the prefix of `sorted` on which `pred` holds (`pred`
+/// must hold on a prefix), searched outward from `hint` with doubling
+/// steps and finished by binary search.
+#[inline(always)]
+fn gallop(sorted: &[f64], hint: usize, pred: impl Fn(f64) -> bool) -> usize {
+    let n = sorted.len();
+    let hint = hint.min(n);
+    let (lo, hi) = if hint < n && pred(sorted[hint]) {
+        // The prefix ends after `hint`.
+        let (mut lo, mut step) = (hint + 1, 1);
+        loop {
+            match lo + step {
+                end if end > n => break (lo, n),
+                end if pred(sorted[end - 1]) => {
+                    lo = end;
+                    step *= 2;
+                }
+                end => break (lo, end - 1),
+            }
+        }
+    } else if hint > 0 && !pred(sorted[hint - 1]) {
+        // The prefix ends before `hint`.
+        let (mut hi, mut step) = (hint - 1, 1);
+        loop {
+            if step > hi {
+                break (0, hi);
+            }
+            if pred(sorted[hi - step]) {
+                break (hi - step + 1, hi);
+            }
+            hi -= step;
+            step *= 2;
+        }
+    } else {
+        return hint;
+    };
+    lo + sorted[lo..hi].partition_point(|&q| pred(q))
 }
 
 /// Myers/Hyyrö bit-parallel edit distance over ε-match bit-vectors,
@@ -303,30 +560,6 @@ pub fn edr_within_naive<const D: usize>(
     crate::with_workspace(|ws| within_naive_counted(outer, inner, eps, bound, ws).0)
 }
 
-/// [`edr_within`](crate::edr_within) computed by the Ukkonen-banded
-/// kernel.
-pub fn edr_within_banded<const D: usize>(
-    r: &Trajectory<D>,
-    s: &Trajectory<D>,
-    eps: MatchThreshold,
-    bound: usize,
-) -> Option<usize> {
-    let (outer, inner) = ordered(r, s);
-    if outer.len() - inner.len() > bound {
-        return None;
-    }
-    if inner.is_empty() {
-        return Some(outer.len());
-    }
-    if bound == 0 {
-        // Zero band: only the diagonal can survive — a pointwise scan,
-        // no DP rows at all.
-        let all = outer.iter().zip(inner).all(|(a, b)| a.matches(b, eps));
-        return all.then_some(0);
-    }
-    crate::with_workspace(|ws| within_banded_counted(outer, inner, eps, bound, ws).0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,16 +596,46 @@ mod tests {
     }
 
     #[test]
-    fn banded_handles_extreme_bounds() {
+    fn band_handles_extreme_bounds() {
         let a = traj(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
         let b = traj(&[(9.0, 9.0), (8.0, 8.0), (7.0, 7.0), (6.0, 6.0)]);
         // True distance is 4 (nothing matches): every bound below that
         // abandons, the exact bound reports it.
         for bound in 0..4 {
-            assert_eq!(edr_within_banded(&a, &b, eps(0.5), bound), None);
+            assert_eq!(crate::edr_within(&a, &b, eps(0.5), bound), None);
         }
-        assert_eq!(edr_within_banded(&a, &b, eps(0.5), 4), Some(4));
-        assert_eq!(edr_within_banded(&a, &b, eps(0.5), 100), Some(4));
+        assert_eq!(crate::edr_within(&a, &b, eps(0.5), 4), Some(4));
+        assert_eq!(crate::edr_within(&a, &b, eps(0.5), 100), Some(4));
+        assert_eq!(crate::edr_within(&a, &b, eps(0.5), usize::MAX), Some(4));
+    }
+
+    #[test]
+    fn gallop_finds_the_prefix_from_any_hint() {
+        let sorted = [-3.0, -1.0, -1.0, 0.0, 2.0, 2.0, 2.0, 5.0, 8.0];
+        for cut in [-4.0, -3.0, -1.0, 0.5, 2.0, 4.0, 8.0, 9.0] {
+            let want = sorted.iter().filter(|&&q| q <= cut).count();
+            for hint in 0..=sorted.len() + 2 {
+                assert_eq!(
+                    gallop(&sorted, hint, |q| q <= cut),
+                    want,
+                    "cut {cut} hint {hint}"
+                );
+            }
+        }
+        assert_eq!(gallop(&[], 3, |q| q <= 0.0), 0);
+    }
+
+    #[test]
+    fn rank_masks_refuse_non_finite_and_over_long_queries() {
+        let finite = traj(&[(0.0, 1.0), (2.0, 3.0)]);
+        assert!(RankMasks::build(finite.points()).is_some());
+        let nan = traj(&[(0.0, 1.0), (f64::NAN, 3.0)]);
+        assert!(RankMasks::build(nan.points()).is_none());
+        let inf = traj(&[(0.0, f64::INFINITY)]);
+        assert!(RankMasks::build(inf.points()).is_none());
+        let long: Vec<(f64, f64)> = (0..=RANK_MASK_MAX_LEN).map(|i| (i as f64, 0.0)).collect();
+        assert!(RankMasks::build(traj(&long).points()).is_none());
+        assert!(RankMasks::build(traj(&long[1..]).points()).is_some());
     }
 
     proptest! {
@@ -393,10 +656,11 @@ mod tests {
             prop_assert_eq!(edr_bitparallel(&r, &s, e), want);
         }
 
-        /// The banded kernel agrees with the naive early-abandoning kernel
-        /// for bounds straddling the true distance (below, equal, above).
+        /// Both match-word builders of the band kernel agree with the
+        /// naive early-abandoning kernel for bounds straddling the true
+        /// distance (below, equal, above), in both pattern orientations.
         #[test]
-        fn banded_agrees_across_the_straddle(
+        fn band_agrees_across_the_straddle(
             r in proptest::collection::vec((-4.0..4.0f64, -4.0..4.0f64), 1..18),
             s in proptest::collection::vec((-4.0..4.0f64, -4.0..4.0f64), 1..18),
             e in 0.05..3.0f64,
@@ -404,6 +668,9 @@ mod tests {
             let (r, s) = (traj(&r), traj(&s));
             let e = eps(e);
             let true_d = edr_naive(&r, &s, e);
+            let mut ws = crate::EdrWorkspace::new();
+            let masks = RankMasks::build(r.points()).expect("finite query");
+            let diff = r.len().abs_diff(s.len());
             for bound in [
                 true_d.saturating_sub(2),
                 true_d.saturating_sub(1),
@@ -412,13 +679,17 @@ mod tests {
                 true_d + 5,
             ] {
                 let want = edr_within_naive(&r, &s, e, bound);
-                prop_assert_eq!(
-                    edr_within_banded(&r, &s, e, bound), want,
-                    "bound {} (true {})", bound, true_d
-                );
-                // And the public dispatcher (banded or bit-parallel,
-                // whichever it picks) returns the same verdict.
                 prop_assert_eq!(crate::edr_within(&r, &s, e, bound), want);
+                if bound == 0 || bound < diff {
+                    continue; // decided before any DP
+                }
+                for (text, pattern) in [(&r, &s), (&s, &r)] {
+                    let (d, _) =
+                        within_compare_counted(text.points(), pattern.points(), e, bound, &mut ws);
+                    prop_assert_eq!(d, want, "compare, bound {} (true {})", bound, true_d);
+                }
+                let (d, _) = masks.within_counted(s.points(), e, bound, &mut ws);
+                prop_assert_eq!(d, want, "ranks, bound {} (true {})", bound, true_d);
             }
         }
 
@@ -435,25 +706,25 @@ mod tests {
             prop_assert_eq!(edr_bitparallel(&r, &s, e), edr_naive(&r, &s, e));
         }
 
-        /// DP-cell accounting: the banded kernel fills no more cells than
-        /// the naive one, and a tighter bound never fills more.
+        /// Lane accounting: the band kernel never counts more lanes than
+        /// the full bit-parallel kernel on the same pair, and a tighter
+        /// bound never counts more.
         #[test]
-        fn banded_cell_counts_shrink_with_the_bound(
-            r in proptest::collection::vec((-4.0..4.0f64, -4.0..4.0f64), 4..24),
-            s in proptest::collection::vec((-4.0..4.0f64, -4.0..4.0f64), 4..24),
+        fn band_lanes_stay_under_the_full_dp_and_shrink_with_the_bound(
+            r in proptest::collection::vec((-4.0..4.0f64, -4.0..4.0f64), 4..150),
+            s in proptest::collection::vec((-4.0..4.0f64, -4.0..4.0f64), 4..150),
             e in 0.05..2.0f64,
         ) {
             let (r, s) = (traj(&r), traj(&s));
             let e = eps(e);
             let (outer, inner) = ordered(&r, &s);
-            let diff = outer.len() - inner.len();
-            let naive_cells = (outer.len() as u64) * (inner.len() as u64);
             let mut ws = crate::EdrWorkspace::new();
+            let (_, full) = bitparallel_counted(outer, inner, e, &mut ws);
             let mut prev = 0u64;
-            for bound in diff.max(1)..outer.len() {
-                let (_, cells) = within_banded_counted(outer, inner, e, bound, &mut ws);
-                prop_assert!(cells <= naive_cells);
-                prop_assert!(cells >= prev, "bound {} shrank the band", bound);
+            for bound in (outer.len() - inner.len()).max(1)..=outer.len() {
+                let (_, cells) = within_compare_counted(outer, inner, e, bound, &mut ws);
+                prop_assert!(cells <= full, "bound {}: {} lanes over the full {}", bound, cells, full);
+                prop_assert!(cells >= prev, "bound {} shrank the lanes", bound);
                 prev = cells;
             }
         }

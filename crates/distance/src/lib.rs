@@ -53,7 +53,7 @@ pub use edr::{
 };
 pub use erp::{erp, erp_with, erp_with_gap};
 pub use euclid::{euclidean, euclidean_sliding};
-pub use kernel::{edr_bitparallel, edr_naive, edr_within_banded, edr_within_naive};
+pub use kernel::{edr_bitparallel, edr_naive, edr_within_naive};
 pub use lcss::{lcss, lcss_distance};
 pub use measure::{Measure, TrajectoryMeasure};
 pub use metric::ElementMetric;

@@ -22,8 +22,9 @@
 //! [`EdrWorkspace::scratch_allocs`]) so tests can assert on one workspace
 //! without reading — and racing on — process-global state.
 
+use crate::kernel::RankMasks;
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use trajsim_core::{CoordSeq, MatchThreshold, Trajectory};
 use trajsim_obs::metrics::{Counter, Gauge};
 
@@ -36,11 +37,12 @@ pub const WORKSPACE_PEAK_BYTES: &str = "refine.workspace_peak_bytes";
 
 /// Grow-only scratch buffers for the EDR kernel hierarchy.
 ///
-/// One workspace serves every kernel: the naive and banded DPs borrow the
-/// two rolling rows, the bit-parallel kernel borrows the `vp`/`vn`/`eq`
-/// blocks. Create one per worker (or use [`with_workspace`] for the
-/// thread-local shared one) and reuse it across calls; after the first
-/// call at the workload's maximum pair size, no further calls allocate.
+/// One workspace serves every kernel: the naive DP borrows the two
+/// rolling rows, the full and the sliding-band bit-parallel kernels
+/// borrow the `vp`/`vn`/`eq` blocks. Create one per worker (or use
+/// [`with_workspace`] for the thread-local shared one) and reuse it
+/// across calls; after the first call at the workload's maximum pair
+/// size, no further calls allocate.
 #[derive(Debug)]
 pub struct EdrWorkspace {
     prev: Vec<usize>,
@@ -184,11 +186,23 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut EdrWorkspace) -> R) -> R {
 /// [`CoordSeq`](trajsim_core::CoordSeq) (via `&QueryContext`) and carries
 /// the matching threshold, so engines pass it straight to the
 /// `*_with`-style entry points in [`crate::edr`].
+///
+/// The first bounded call ([`QueryContext::edr_within_counted`]) also
+/// builds per-dimension rank masks of the query, from which the
+/// sliding-band kernel builds each candidate point's ε-match word with
+/// two searches per dimension; contexts that only ever compute full
+/// distances never build them.
 #[derive(Debug, Clone)]
 pub struct QueryContext<const D: usize> {
     coords: Vec<f64>,
     len: usize,
     eps: MatchThreshold,
+    /// Boxed so the context itself holds no interior mutability: a
+    /// `&QueryContext` then stays a read-only, non-aliased pointer to the
+    /// compiler, which keeps the column base and length in registers
+    /// across the kernels' stores (inline, the full DP measured about
+    /// 1.5× slower in the `refine_ws_*` bench_guard cases).
+    ranks: Box<OnceLock<Option<RankMasks<D>>>>,
 }
 
 impl<const D: usize> QueryContext<D> {
@@ -199,7 +213,12 @@ impl<const D: usize> QueryContext<D> {
         for d in 0..D {
             coords.extend((0..len).map(|i| query.coord(i, d)));
         }
-        QueryContext { coords, len, eps }
+        QueryContext {
+            coords,
+            len,
+            eps,
+            ranks: Box::default(),
+        }
     }
 
     /// Builds the context from an owned trajectory.
@@ -238,14 +257,18 @@ impl<const D: usize> QueryContext<D> {
         self.edr_counted(candidate, ws).0
     }
 
-    /// Early-abandoning EDR with DP-cell accounting, on borrowed scratch.
+    /// Early-abandoning EDR with DP-cell accounting, on borrowed scratch:
+    /// [`crate::edr_within_counted_with`], with the query's rank masks
+    /// building the sliding-band kernel's match words.
     pub fn edr_within_counted<S: CoordSeq<D>>(
         &self,
         candidate: S,
         bound: usize,
         ws: &mut EdrWorkspace,
     ) -> (Option<usize>, u64) {
-        crate::edr_within_counted_with(self, candidate, self.eps, bound, ws)
+        crate::edr::within_counted(self, candidate, self.eps, bound, ws, || {
+            self.ranks.get_or_init(|| RankMasks::build(self)).as_ref()
+        })
     }
 
     /// Early-abandoning EDR on borrowed scratch.

@@ -194,7 +194,12 @@ pub struct QueryStats {
     pub pruned_by_triangle: usize,
     /// DP cells the EDR kernels materialized answering this query — the
     /// work the pruning saved shows up here as *missing* cells (cf. the
-    /// kernel accounting in `trajsim-distance::kernel`).
+    /// kernel accounting in `trajsim-distance::kernel`). The bit-vector
+    /// kernels count 64 lanes per word per DP row they process: a full DP
+    /// counts `64·⌈n/64⌉` per row, a bounded refine `64·⌈(2·bound+1)/64⌉`
+    /// (never more than the full DP). So a narrow bounded refine counts
+    /// more lanes than the band cells a scalar DP would fill, while it
+    /// takes less time.
     pub dp_cells: u64,
     /// Per-stage wall-time breakdown and per-filter candidate flow.
     pub timings: StageTimings,
