@@ -12,9 +12,12 @@
 //!   baseline in `--dir` (default: the workspace root, where the
 //!   baselines are committed);
 //! - `--check`: measure, compare against the committed baseline with the
-//!   noise-aware threshold, and exit non-zero on any regression — the CI
-//!   gate. `--inject case:factor` multiplies that case's measured times,
-//!   which is how CI proves the gate actually fails on a 2x slowdown.
+//!   noise-aware threshold and the work counters exactly, and exit
+//!   non-zero on any regression or moved counter — the CI gate. The
+//!   thread count must be the baseline's (`TRAJSIM_THREADS=1` for the
+//!   committed ones). `--inject case:factor` multiplies that case's
+//!   measured times, which is how CI proves the gate actually fails on a
+//!   2x slowdown.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -149,7 +152,7 @@ fn main() {
             match compare(&base, &run) {
                 Ok(cmps) => {
                     print!("{}", render_compare(&cmps));
-                    if cmps.iter().any(|c| c.regressed) {
+                    if cmps.iter().any(|c| c.failed()) {
                         failed = true;
                     }
                 }

@@ -11,6 +11,11 @@
 //! median), so noisy environments do not produce false alarms — and a
 //! genuine 2x slowdown still always trips the guard (the tolerance is
 //! capped well below 100%). The model is documented in `DESIGN.md` §9.
+//!
+//! Engine cases also carry their accumulated work counters (EDR
+//! computations, DP cells, prunes per filter). Those are deterministic at
+//! a fixed thread count, so `--check` compares them exactly: a counter
+//! that moves fails the check until the baseline is rewritten.
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use trajsim_art::{ArtScratch, HistCandidate, HistogramArtIndex, QgramArtIndex, QuerySignature};
@@ -860,7 +865,8 @@ impl SuiteRun {
     }
 
     /// Parses a `BENCH_<suite>.json` document. Only the fields the
-    /// comparison needs are required; per-case `stats` are not read back.
+    /// comparison needs are required; of a case's `stats`, the work
+    /// counters are read back (timings stay zero).
     ///
     /// # Errors
     ///
@@ -895,7 +901,7 @@ impl SuiteRun {
                 median_s: f64_field(c, "median_s")?,
                 mad_s: f64_field(c, "mad_s")?,
                 score: f64_field(c, "score")?,
-                stats: None,
+                stats: c.get("stats").and_then(counters_from_json),
             });
         }
         Ok(SuiteRun {
@@ -914,6 +920,22 @@ impl SuiteRun {
             cases,
         })
     }
+}
+
+/// The work counters of a serialized [`QueryStats`], or `None` for a
+/// case without stats (`null`).
+fn counters_from_json(v: &serde_json::Value) -> Option<QueryStats> {
+    v.as_object()?;
+    let count = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
+    Some(QueryStats {
+        database_size: count("database_size") as usize,
+        edr_computed: count("edr_computed") as usize,
+        pruned_by_histogram: count("pruned_by_histogram") as usize,
+        pruned_by_qgram: count("pruned_by_qgram") as usize,
+        pruned_by_triangle: count("pruned_by_triangle") as usize,
+        dp_cells: count("dp_cells"),
+        ..QueryStats::default()
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -935,6 +957,44 @@ pub struct CaseCompare {
     pub tolerance: f64,
     /// Whether this case regressed (`rel_change > tolerance`).
     pub regressed: bool,
+    /// Work counters that differ from the baseline, one
+    /// `"counter base → current"` entry each; empty when they all match
+    /// (or neither side has any).
+    pub moved: Vec<String>,
+}
+
+impl CaseCompare {
+    /// Whether this case fails the guard: slower beyond its tolerance,
+    /// or any work counter moved.
+    pub fn failed(&self) -> bool {
+        self.regressed || !self.moved.is_empty()
+    }
+}
+
+/// The work counters [`compare`] holds exactly equal.
+fn counters(s: &QueryStats) -> [(&'static str, u64); 5] {
+    [
+        ("edr_computed", s.edr_computed as u64),
+        ("dp_cells", s.dp_cells),
+        ("pruned_by_histogram", s.pruned_by_histogram as u64),
+        ("pruned_by_qgram", s.pruned_by_qgram as u64),
+        ("pruned_by_triangle", s.pruned_by_triangle as u64),
+    ]
+}
+
+/// The counters of `cur` that differ from `base`.
+fn moved_counters(base: Option<&QueryStats>, cur: Option<&QueryStats>) -> Vec<String> {
+    match (base, cur) {
+        (None, None) => Vec::new(),
+        (Some(_), None) => vec!["stats missing from the current run".to_string()],
+        (None, Some(_)) => vec!["stats missing from the baseline".to_string()],
+        (Some(b), Some(c)) => counters(b)
+            .into_iter()
+            .zip(counters(c))
+            .filter(|((_, b), (_, c))| b != c)
+            .map(|((name, b), (_, c))| format!("{name} {b} → {c}"))
+            .collect(),
+    }
 }
 
 /// Floor of the regression tolerance: changes under 35% are never flagged
@@ -955,14 +1015,18 @@ pub fn tolerance(base: &CaseResult, cur: &CaseResult) -> f64 {
 }
 
 /// Compares a current suite run against the committed baseline, case by
-/// case on anchor-normalized scores. The anchor itself (score 1 on both
-/// sides by construction) carries no signal and is skipped. A case
-/// present in the baseline but missing from the current run is an error
-/// — silently dropping a benchmark must not pass the guard.
+/// case: anchor-normalized scores within the noise-aware tolerance, and
+/// work counters exactly. The anchor's score (1 on both sides by
+/// construction) carries no signal, so the anchor gets a row only when
+/// it has counters to check. A case present in the baseline but missing
+/// from the current run is an error — silently dropping a benchmark must
+/// not pass the guard.
 ///
 /// # Errors
 ///
-/// Fails on mismatched suite names or a missing case.
+/// Fails on mismatched suite names, a missing case, or a thread count
+/// other than the baseline's (the counters of a parallel case, and every
+/// score, depend on it).
 pub fn compare(base: &SuiteRun, cur: &SuiteRun) -> Result<Vec<CaseCompare>, String> {
     if base.suite != cur.suite {
         return Err(format!(
@@ -970,16 +1034,35 @@ pub fn compare(base: &SuiteRun, cur: &SuiteRun) -> Result<Vec<CaseCompare>, Stri
             base.suite, cur.suite
         ));
     }
+    if base.fingerprint.threads != cur.fingerprint.threads {
+        return Err(format!(
+            "suite {:?} ran at {} thread(s), its baseline at {}: rerun with \
+             TRAJSIM_THREADS={}",
+            cur.suite, cur.fingerprint.threads, base.fingerprint.threads, base.fingerprint.threads
+        ));
+    }
     let mut out = Vec::new();
     for b in &base.cases {
-        if b.name == base.anchor {
-            continue;
-        }
         let c = cur
             .cases
             .iter()
             .find(|c| c.name == b.name)
             .ok_or_else(|| format!("case {:?} missing from the current run", b.name))?;
+        let moved = moved_counters(b.stats.as_ref(), c.stats.as_ref());
+        if b.name == base.anchor {
+            if b.stats.is_some() || c.stats.is_some() {
+                out.push(CaseCompare {
+                    name: b.name.clone(),
+                    base_score: b.score,
+                    cur_score: c.score,
+                    rel_change: 0.0,
+                    tolerance: 0.0,
+                    regressed: false,
+                    moved,
+                });
+            }
+            continue;
+        }
         let rel_change = if b.score > 0.0 {
             (c.score - b.score) / b.score
         } else {
@@ -993,12 +1076,14 @@ pub fn compare(base: &SuiteRun, cur: &SuiteRun) -> Result<Vec<CaseCompare>, Stri
             rel_change,
             tolerance: tol,
             regressed: rel_change > tol,
+            moved,
         });
     }
     Ok(out)
 }
 
-/// Renders the comparison as an aligned table (one row per case).
+/// Renders the comparison as an aligned table (one row per case), then
+/// one line per moved work counter.
 pub fn render_compare(cmps: &[CaseCompare]) -> String {
     let header: Vec<String> = ["case", "base", "current", "change", "tolerance", "verdict"]
         .iter()
@@ -1013,11 +1098,24 @@ pub fn render_compare(cmps: &[CaseCompare]) -> String {
                 format!("{:.3}", c.cur_score),
                 format!("{:+.1}%", c.rel_change * 100.0),
                 format!("{:.1}%", c.tolerance * 100.0),
-                if c.regressed { "REGRESSED" } else { "ok" }.to_string(),
+                if !c.moved.is_empty() {
+                    "MOVED"
+                } else if c.regressed {
+                    "REGRESSED"
+                } else {
+                    "ok"
+                }
+                .to_string(),
             ]
         })
         .collect();
-    crate::render_table(&header, &rows)
+    let mut text = crate::render_table(&header, &rows);
+    for c in cmps {
+        for m in &c.moved {
+            text.push_str(&format!("  {}: {m}\n", c.name));
+        }
+    }
+    text
 }
 
 #[cfg(test)]
@@ -1256,6 +1354,45 @@ mod tests {
         }
         let cmps = compare(&base, &jitter).unwrap();
         assert!(cmps.iter().all(|c| !c.regressed), "{cmps:?}");
+    }
+
+    #[test]
+    fn moved_work_counters_fail_the_guard() {
+        let _measure = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // The baseline goes through its JSON form, so the counters are
+        // the ones read back from a file.
+        let run = run_suite("filters", &quick()).unwrap();
+        let base = SuiteRun::from_json(&run.to_json()).unwrap();
+        let cmps = compare(&base, &run).unwrap();
+        assert!(cmps.iter().all(|c| !c.failed()), "{cmps:?}");
+        // The anchor has counters, so it gets a row.
+        assert!(cmps.iter().any(|c| c.name == run.anchor));
+        for (case, bump) in [("seqscan", 0), ("filter_combined", 2)] {
+            let mut moved = run.clone();
+            let c = moved.cases.iter_mut().find(|c| c.name == case).unwrap();
+            let stats = c.stats.as_mut().unwrap();
+            match bump {
+                0 => stats.dp_cells += 1,
+                _ => stats.pruned_by_histogram += bump,
+            }
+            let cmps = compare(&base, &moved).unwrap();
+            let hit = cmps.iter().find(|c| c.name == case).unwrap();
+            assert!(hit.failed() && hit.moved.len() == 1, "{hit:?}");
+            assert!(render_compare(&cmps).contains("MOVED"));
+        }
+        let mut dropped = run.clone();
+        dropped.cases[1].stats = None;
+        let cmps = compare(&base, &dropped).unwrap();
+        assert!(cmps.iter().any(|c| c.failed()));
+    }
+
+    #[test]
+    fn a_thread_count_other_than_the_baselines_is_an_error() {
+        let base = run_suite("kernels", &quick()).unwrap();
+        let mut other = base.clone();
+        other.fingerprint.threads = base.fingerprint.threads + 1;
+        let err = compare(&base, &other).unwrap_err();
+        assert!(err.contains("TRAJSIM_THREADS"), "{err}");
     }
 
     #[test]

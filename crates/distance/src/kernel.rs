@@ -43,12 +43,13 @@
 //! the sliding band. Its match words come from one of two builders:
 //! through a [`QueryContext`](crate::QueryContext), the query is the
 //! pattern and each candidate point's word is cut from the query's
-//! per-dimension rank masks (`RankMasks`: two galloping searches per
-//! dimension and a window extract); the free functions, and a context
-//! whose query is non-finite or longer than `RANK_MASK_MAX_LEN` (1024),
-//! compare the band's cells directly, with the shorter sequence as the
-//! pattern. The `naive-kernel` feature reroutes both entry points to the
-//! naive kernel so any result can be reproduced on the reference path.
+//! per-dimension rank masks (`RankMasks`: two bucket-table lookups per
+//! dimension, each finished by a few exact compares, and a window
+//! extract); the free functions, and a context whose query is non-finite
+//! or longer than `RANK_MASK_MAX_LEN` (1024), compare the band's cells
+//! directly, with the shorter sequence as the pattern. The `naive-kernel`
+//! feature reroutes both entry points to the naive kernel so any result
+//! can be reproduced on the reference path.
 
 use crate::workspace::EdrWorkspace;
 use trajsim_core::{CoordSeq, MatchThreshold, Point, Trajectory};
@@ -297,8 +298,14 @@ pub(crate) fn within_compare_counted<const D: usize, T: CoordSeq<D>, P: CoordSeq
 /// cap.
 pub(crate) const RANK_MASK_MAX_LEN: usize = 1024;
 
+/// Lookup-table buckets per query point in [`RankMasks`].
+const BUCKETS_PER_POINT: usize = 2;
+
+// Table entries are ranks in `0..=len`.
+const _: () = assert!(RANK_MASK_MAX_LEN <= u16::MAX as usize);
+
 /// Per-query rank masks: a candidate coordinate's ε-match set against the
-/// query, from two searches per dimension instead of one compare per
+/// query, from two table lookups per dimension instead of one compare per
 /// query point.
 ///
 /// For each dimension the query's coordinates are sorted, and prefix
@@ -307,14 +314,28 @@ pub(crate) const RANK_MASK_MAX_LEN: usize = 1024;
 /// with `fl(q - v) <= ε` are two prefixes of the sorted order, and their
 /// difference is exactly the set [`coord_match`] accepts — ε boundary and
 /// NaN candidates included (a NaN makes both prefixes empty).
+///
+/// The two prefix lengths come from a bucket table per dimension:
+/// `2·len` equal-width buckets over `[min, max]` of the query's
+/// coordinates, each holding the rank of its first coordinate. A lookup
+/// starts at the entry of the bucket of `v − ε` (or `v + ε`) and steps
+/// one sorted coordinate at a time until the exact predicate flips, so
+/// the answer never depends on the table's arithmetic — only the number
+/// of steps does.
 #[derive(Debug, Clone)]
 pub(crate) struct RankMasks<const D: usize> {
     len: usize,
     words: usize,
+    buckets: usize,
     /// Dimension-major sorted coordinates.
     sorted: Vec<f64>,
     /// Dimension-major, `len + 1` masks of `words` words per dimension.
     prefix: Vec<u64>,
+    /// Per dimension: the smallest coordinate and the buckets per unit.
+    grid: [(f64, f64); D],
+    /// Dimension-major, `buckets` entries per dimension: entry `b` counts
+    /// the sorted coordinates whose bucket lies below `b`.
+    starts: Vec<u16>,
 }
 
 impl<const D: usize> RankMasks<D> {
@@ -326,8 +347,11 @@ impl<const D: usize> RankMasks<D> {
             return None;
         }
         let words = len.div_ceil(64);
+        let buckets = BUCKETS_PER_POINT * len;
         let mut sorted = Vec::with_capacity(D * len);
         let mut prefix = vec![0u64; D * (len + 1) * words];
+        let mut grid = [(0.0, 0.0); D];
+        let mut starts = Vec::with_capacity(D * buckets);
         let mut order: Vec<usize> = Vec::with_capacity(len);
         for (d, masks) in prefix.chunks_exact_mut((len + 1) * words).enumerate() {
             if (0..len).any(|i| !query.coord(i, d).is_finite()) {
@@ -342,13 +366,56 @@ impl<const D: usize> RankMasks<D> {
                 next[..words].copy_from_slice(&done[r * words..]);
                 next[i / 64] |= 1 << (i % 64);
             }
+            // A zero span gives an infinite scale: the minimum itself
+            // lands in bucket 0 (0·∞ is NaN) and everything above it in
+            // the last one, which is still a valid start.
+            let column = &sorted[d * len..];
+            grid[d] = (column[0], buckets as f64 / (column[len - 1] - column[0]));
+            let mut r = 0;
+            for b in 0..buckets {
+                while r < len && bucket(grid[d], buckets, column[r]) < b {
+                    r += 1;
+                }
+                starts.push(r as u16);
+            }
         }
         Some(RankMasks {
             len,
             words,
+            buckets,
             sorted,
             prefix,
+            grid,
+            starts,
         })
+    }
+
+    /// The prefix lengths of dimension `d`'s sorted coordinates with
+    /// `fl(q - v) < -ε` and with `fl(q - v) <= ε`: the query points
+    /// below `v`'s ε-interval and those not above it.
+    #[inline(always)]
+    fn ranks(&self, d: usize, v: f64, e: f64) -> (usize, usize) {
+        (
+            self.rank(d, v - e, |q| q - v < -e),
+            self.rank(d, v + e, |q| q - v <= e),
+        )
+    }
+
+    /// The length of the prefix of dimension `d`'s sorted coordinates on
+    /// which `pred` holds (`pred` must hold on a prefix), stepped to from
+    /// the table entry of `probe`.
+    #[inline(always)]
+    fn rank(&self, d: usize, probe: f64, pred: impl Fn(f64) -> bool) -> usize {
+        let sorted = &self.sorted[d * self.len..(d + 1) * self.len];
+        let entry = d * self.buckets + bucket(self.grid[d], self.buckets, probe);
+        let mut r = usize::from(self.starts[entry]);
+        while r < sorted.len() && pred(sorted[r]) {
+            r += 1;
+        }
+        while r > 0 && !pred(sorted[r - 1]) {
+            r -= 1;
+        }
+        r
     }
 
     /// [`within_band_counted`] with the query as the pattern and each
@@ -361,17 +428,9 @@ impl<const D: usize> RankMasks<D> {
         ws: &mut EdrWorkspace,
     ) -> (Option<usize>, u64) {
         let e = eps.value();
-        // Each dimension's two prefix lengths for the previous candidate
-        // point: a trajectory moves little between samples, so galloping
-        // from them is a few compares.
-        let mut hints = [[0usize; 2]; D];
         within_band_counted(text.len(), self.len, bound, ws, |j, p0, eq| {
-            for (d, hint) in hints.iter_mut().enumerate() {
-                let v = text.coord(j, d);
-                let sorted = &self.sorted[d * self.len..(d + 1) * self.len];
-                let lo = gallop(sorted, hint[0], |q| q - v < -e);
-                let hi = gallop(sorted, hint[1], |q| q - v <= e);
-                *hint = [lo, hi];
+            for d in 0..D {
+                let (lo, hi) = self.ranks(d, text.coord(j, d), e);
                 let masks = &self.prefix[d * (self.len + 1) * self.words..];
                 let below = &masks[lo * self.words..(lo + 1) * self.words];
                 let within = &masks[hi * self.words..(hi + 1) * self.words];
@@ -385,6 +444,15 @@ impl<const D: usize> RankMasks<D> {
     }
 }
 
+/// The bucket of `x` in a table of `buckets` buckets starting at `min`
+/// with `scale` buckets per unit. The cast saturates, so anything below
+/// `min` (and NaN) falls in bucket 0 and anything past the end in the
+/// last bucket.
+#[inline(always)]
+fn bucket((min, scale): (f64, f64), buckets: usize, x: f64) -> usize {
+    (((x - min) * scale) as usize).min(buckets - 1)
+}
+
 /// The 64 bits of `mask` starting at bit `at`, zero past its end.
 #[inline(always)]
 fn bits_at(mask: &[u64], at: usize) -> u64 {
@@ -395,45 +463,6 @@ fn bits_at(mask: &[u64], at: usize) -> u64 {
     } else {
         (low >> s) | (mask.get(w + 1).copied().unwrap_or(0) << (64 - s))
     }
-}
-
-/// The length of the prefix of `sorted` on which `pred` holds (`pred`
-/// must hold on a prefix), searched outward from `hint` with doubling
-/// steps and finished by binary search.
-#[inline(always)]
-fn gallop(sorted: &[f64], hint: usize, pred: impl Fn(f64) -> bool) -> usize {
-    let n = sorted.len();
-    let hint = hint.min(n);
-    let (lo, hi) = if hint < n && pred(sorted[hint]) {
-        // The prefix ends after `hint`.
-        let (mut lo, mut step) = (hint + 1, 1);
-        loop {
-            match lo + step {
-                end if end > n => break (lo, n),
-                end if pred(sorted[end - 1]) => {
-                    lo = end;
-                    step *= 2;
-                }
-                end => break (lo, end - 1),
-            }
-        }
-    } else if hint > 0 && !pred(sorted[hint - 1]) {
-        // The prefix ends before `hint`.
-        let (mut hi, mut step) = (hint - 1, 1);
-        loop {
-            if step > hi {
-                break (0, hi);
-            }
-            if pred(sorted[hi - step]) {
-                break (hi - step + 1, hi);
-            }
-            hi -= step;
-            step *= 2;
-        }
-    } else {
-        return hint;
-    };
-    lo + sorted[lo..hi].partition_point(|&q| pred(q))
 }
 
 /// Myers/Hyyrö bit-parallel edit distance over ε-match bit-vectors,
@@ -610,22 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn gallop_finds_the_prefix_from_any_hint() {
-        let sorted = [-3.0, -1.0, -1.0, 0.0, 2.0, 2.0, 2.0, 5.0, 8.0];
-        for cut in [-4.0, -3.0, -1.0, 0.5, 2.0, 4.0, 8.0, 9.0] {
-            let want = sorted.iter().filter(|&&q| q <= cut).count();
-            for hint in 0..=sorted.len() + 2 {
-                assert_eq!(
-                    gallop(&sorted, hint, |q| q <= cut),
-                    want,
-                    "cut {cut} hint {hint}"
-                );
-            }
-        }
-        assert_eq!(gallop(&[], 3, |q| q <= 0.0), 0);
-    }
-
-    #[test]
     fn rank_masks_refuse_non_finite_and_over_long_queries() {
         let finite = traj(&[(0.0, 1.0), (2.0, 3.0)]);
         assert!(RankMasks::build(finite.points()).is_some());
@@ -638,8 +651,68 @@ mod tests {
         assert!(RankMasks::build(traj(&long[1..]).points()).is_some());
     }
 
+    /// `x` moved by `steps` units in the last place (no `next_up` at the
+    /// crate's minimum Rust version).
+    fn ulps(x: f64, steps: i64) -> f64 {
+        if x == 0.0 {
+            return f64::from_bits(steps.unsigned_abs()) * (steps as f64).signum();
+        }
+        let bits = x.to_bits() as i64 + if x > 0.0 { steps } else { -steps };
+        f64::from_bits(bits as u64)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The bucket-table lookup gives exactly the two prefix lengths
+        /// `partition_point` finds: on a column with duplicates, and on a
+        /// column of zero span or a few ulps wide (where one-ulp rounding
+        /// of `v ± ε` can seed the lookup past the answer), for candidates
+        /// on, a few ulps off and far outside the query's ε-boundaries,
+        /// and for NaN and ±inf.
+        #[test]
+        fn table_lookup_equals_partition_point(
+            xs in proptest::collection::vec(-6i32..6, 1..40),
+            spread in proptest::collection::vec(0i64..8, 1..8),
+            flat in 0u8..3,
+            e in 0.0..3.0f64,
+            zero_eps in 0u8..4,
+            probes in proptest::collection::vec(
+                (0usize..8, 0usize..64, -20.0..20.0f64, -3i64..4),
+                1..24,
+            ),
+        ) {
+            let e = if zero_eps == 0 { 0.0 } else { e };
+            let points: Vec<(f64, f64)> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    let y = if flat == 0 { 0 } else { spread[i % spread.len()] };
+                    (f64::from(x) * 0.75, ulps(1.25, y))
+                })
+                .collect();
+            let query = traj(&points);
+            let masks = RankMasks::build(query.points()).expect("finite query");
+            for &(kind, at, free, step) in &probes {
+                for d in 0..2 {
+                    let x = query.points()[at % points.len()].0[d];
+                    let v = match kind {
+                        0 | 1 => ulps(x + e, step),
+                        2 | 3 => ulps(x - e, step),
+                        4 => free,
+                        5 => f64::NAN,
+                        6 => f64::INFINITY,
+                        _ => f64::NEG_INFINITY,
+                    };
+                    let sorted = &masks.sorted[d * masks.len..(d + 1) * masks.len];
+                    let want = (
+                        sorted.partition_point(|&q| q - v < -e),
+                        sorted.partition_point(|&q| q - v <= e),
+                    );
+                    prop_assert_eq!(masks.ranks(d, v, e), want, "dim {} v {} eps {}", d, v, e);
+                }
+            }
+        }
 
         /// All three full-distance kernels agree with the recursive
         /// reference on random 2-d trajectories.

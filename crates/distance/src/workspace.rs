@@ -190,7 +190,7 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut EdrWorkspace) -> R) -> R {
 /// The first bounded call ([`QueryContext::edr_within_counted`]) also
 /// builds per-dimension rank masks of the query, from which the
 /// sliding-band kernel builds each candidate point's ε-match word with
-/// two searches per dimension; contexts that only ever compute full
+/// two table lookups per dimension; contexts that only ever compute full
 /// distances never build them.
 #[derive(Debug, Clone)]
 pub struct QueryContext<const D: usize> {

@@ -35,11 +35,12 @@ pub enum HistogramVariant {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
     /// **HSE**: database order; a candidate whose quick histogram bound
-    /// exceeds the current best-so-far is pruned on its own.
+    /// reaches the current k-th best (a full top-k admits only smaller
+    /// distances) is pruned on its own.
     Sequential,
     /// **HSR**: compute every quick histogram bound first, then visit in
-    /// ascending lower-bound order — once a lower bound exceeds
-    /// best-so-far, *everything* after it is pruned in one step.
+    /// ascending lower-bound order — once a lower bound reaches the k-th
+    /// best, *everything* after it is pruned in one step.
     Sorted,
 }
 
@@ -608,16 +609,16 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
 
     /// Theorem 5's bound `EDR(Q,S) ≥ EDR(Q,R) − EDR(R,S) − |S|`: true iff
     /// some reference `(R, EDR(Q,R))` in `refs` lower-bounds candidate
-    /// `id` (of length `s_len`) above `best`.
+    /// `id` (of length `s_len`) at or above `cutoff`.
     fn triangle_prunes(
         &self,
         refs: &[(usize, usize)],
         id: usize,
         s_len: usize,
-        best: usize,
+        cutoff: usize,
     ) -> bool {
         refs.iter().any(|&(r, dist_qr)| {
-            dist_qr as i64 - self.pmatrix[r][id] as i64 - s_len as i64 > best as i64
+            dist_qr as i64 - self.pmatrix[r][id] as i64 - s_len as i64 >= cutoff as i64
         })
     }
 
@@ -680,6 +681,12 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
         if qh.is_some() {
             stats.timings.histogram.filter_ns += elapsed_ns(t_filter);
         }
+        // Admission is strict (`ResultSet::cutoff`): once the top-k is
+        // full, a candidate is dismissed as soon as a lower bound reaches
+        // the k-th best, and refined under `cutoff − 1`. Without
+        // histograms the candidates' bound is a placeholder 0 that never
+        // dismisses anything.
+        let real_bounds = qh.is_some();
         // One borrow of the thread's EDR workspace around the whole
         // candidate loop: every refine below reuses the same scratch.
         let mut refine = Refine::timed();
@@ -687,8 +694,8 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
             'candidates: for (rank, cand) in generated.candidates.iter().enumerate() {
                 let id = cand.id;
                 let s_len = self.arena.len_of(id);
-                let best = result.best_so_far();
-                if best != usize::MAX && cand.lower_bound > best {
+                let cutoff = result.cutoff();
+                if cutoff != usize::MAX && real_bounds && cand.lower_bound >= cutoff {
                     if sorted {
                         // Sorted scan break-out: every remaining lower
                         // bound is at least this one.
@@ -709,7 +716,7 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
                     result.offer(id, cand.lower_bound);
                     continue;
                 }
-                if best != usize::MAX {
+                if cutoff != usize::MAX {
                     for filter in self.config.order.filters() {
                         let (stage, pruned_by) = match filter {
                             Filter::Histogram => {
@@ -725,7 +732,7 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
                         let prune = match filter {
                             Filter::Histogram => {
                                 let qh = qh.as_ref().expect("histogram filter embeds the query");
-                                self.histogram_exact(qh, id) > best
+                                self.histogram_exact(qh, id) >= cutoff
                             }
                             Filter::Qgram => {
                                 // The index probe's count upper bound
@@ -733,16 +740,18 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
                                 let v = cand
                                     .qgram_count_ub
                                     .unwrap_or_else(|| self.qgram_matches(q_means.as_ref(), id));
-                                !passes_count_filter(
-                                    v,
-                                    query.len(),
-                                    s_len,
-                                    self.config.qgram_q,
-                                    best,
-                                )
+                                // Can `EDR <= cutoff − 1` still hold?
+                                cutoff == 0
+                                    || !passes_count_filter(
+                                        v,
+                                        query.len(),
+                                        s_len,
+                                        self.config.qgram_q,
+                                        cutoff - 1,
+                                    )
                             }
                             Filter::NearTriangle => {
-                                self.triangle_prunes(&references, id, s_len, best)
+                                self.triangle_prunes(&references, id, s_len, cutoff)
                             }
                         };
                         stage.filter_ns += elapsed_ns(t);
@@ -755,7 +764,11 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
                 }
                 // A reference-pool id needs its exact distance.
                 let joins_pool = self.joins_pool(id, references.len());
-                let bound = if joins_pool { usize::MAX } else { best };
+                let bound = if joins_pool {
+                    usize::MAX
+                } else {
+                    result.admission_bound()
+                };
                 let d = refine.step(&ctx, id, self.arena.view(id), bound, &mut result, ws);
                 if let (true, Some(d)) = (joins_pool, d) {
                     references.push((id, d));
@@ -767,8 +780,8 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
             // Trajectories the index never touched share no dilated cell
             // with the query: their EDR is exactly `max(query len, their
             // len)`. Walking them in nondecreasing length gives
-            // nondecreasing distance, so the first one past the k-th
-            // best settles all the rest. None needs a refine.
+            // nondecreasing distance, so the first one to reach the
+            // cutoff settles all the rest. None needs a refine.
             let touched = generated.ids(); // ascending, for the skip test
             let index = self.index.as_ref().expect("non-exhaustive implies index");
             let mut remaining = self.dataset.len() - touched.len();
@@ -778,8 +791,7 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
                     continue;
                 }
                 let d = query.len().max(self.arena.len_of(id));
-                let best = result.best_so_far();
-                if best != usize::MAX && d > best {
+                if d >= result.cutoff() {
                     stats.pruned_by_histogram += remaining;
                     break;
                 }

@@ -155,8 +155,8 @@ impl<const D: usize> KnnEngine<D> for CseKnn<'_, D> {
         let mut refine = Refine::timed();
         with_workspace(|ws| {
             for (id, _) in self.dataset.iter() {
-                let best = result.best_so_far();
-                if best != usize::MAX && !references.is_empty() {
+                let cutoff = result.cutoff();
+                if cutoff != usize::MAX && !references.is_empty() {
                     // CSE is a triangle-style reference bound; its work is
                     // charged to the triangle stage.
                     let t_filter = Instant::now();
@@ -168,14 +168,18 @@ impl<const D: usize> KnnEngine<D> for CseKnn<'_, D> {
                         .max()
                         .expect("non-empty references");
                     stats.timings.triangle.filter_ns += elapsed_ns(t_filter);
-                    if lower > best as i64 {
+                    if lower >= cutoff as i64 {
                         stats.pruned_by_triangle += 1;
                         continue;
                     }
                 }
                 // A reference-pool id needs its exact distance.
                 let joins_pool = id < self.pmatrix.len() && references.len() < self.max_references;
-                let bound = if joins_pool { usize::MAX } else { best };
+                let bound = if joins_pool {
+                    usize::MAX
+                } else {
+                    result.admission_bound()
+                };
                 let d = refine.step(&ctx, id, self.arena.view(id), bound, &mut result, ws);
                 if let (true, Some(d)) = (joins_pool, d) {
                     references.push((id, d));

@@ -72,8 +72,8 @@ struct QgramRef {
 /// The `Qgramk-NN-index` / merge-join k-NN engine of §4.1 (Figure 3):
 /// counts, for each database trajectory, how many of the query's q-grams
 /// have an ε-matching mean-value q-gram in it, visits candidates in
-/// descending count order, and skips every candidate whose count violates
-/// the Theorem 1 bound for the current best-so-far distance.
+/// descending count order, and skips every candidate whose count rules
+/// out, by the Theorem 1 bound, a distance below the current k-th best.
 ///
 /// **Deviation from the paper's pseudocode.** Figure 3 `break`s out of the
 /// scan at the first candidate that fails the count test. The test's
@@ -226,24 +226,26 @@ impl<const D: usize> KnnEngine<D> for QgramKnn<'_, D> {
         with_workspace(|ws| {
             for (rank, &id) in order.iter().enumerate() {
                 let ls = self.arena.len_of(id);
-                let best = result.best_so_far();
-                if rank >= k && best != usize::MAX {
+                let cutoff = result.cutoff();
+                if rank >= k && cutoff != usize::MAX {
                     let v = counters[id];
                     // Sound global cut-off: no remaining candidate (all with
-                    // counter <= v) can satisfy even the smallest possible
-                    // Theorem 1 threshold, reached when l_S <= l_Q.
-                    let min_possible = min_common_qgrams(lq, 0, self.q, best);
-                    if (v as i64) < min_possible {
+                    // counter <= v) can have `EDR <= cutoff − 1` and still
+                    // satisfy even the smallest possible Theorem 1
+                    // threshold, reached when l_S <= l_Q. At cutoff 0
+                    // nothing can enter any more.
+                    if cutoff == 0 || (v as i64) < min_common_qgrams(lq, 0, self.q, cutoff - 1) {
                         stats.pruned_by_qgram += order.len() - rank;
                         break;
                     }
                     // Per-candidate Theorem 1 test.
-                    if !passes_count_filter(v, lq, ls, self.q, best) {
+                    if !passes_count_filter(v, lq, ls, self.q, cutoff - 1) {
                         stats.pruned_by_qgram += 1;
                         continue;
                     }
                 }
-                refine.step(&ctx, id, self.arena.view(id), best, &mut result, ws);
+                let bound = result.admission_bound();
+                refine.step(&ctx, id, self.arena.view(id), bound, &mut result, ws);
             }
         });
         stats.add_refine(&refine);

@@ -524,14 +524,27 @@ impl ResultSet {
         }
     }
 
-    /// The pruning threshold `bestSoFar`: the current k-th distance, or
-    /// `usize::MAX` while fewer than `k` candidates have been admitted
-    /// (nothing may be pruned before the result is full).
-    pub(crate) fn best_so_far(&self) -> usize {
+    /// The admission cutoff: the current k-th distance (the paper's
+    /// `bestSoFar`), or `usize::MAX` while fewer than `k` candidates have
+    /// been admitted. It is strict: [`Self::offer`] is stable, so once
+    /// the set is full a candidate enters only if its distance is
+    /// *below* the cutoff, and one whose lower bound reaches it can be
+    /// dismissed.
+    pub(crate) fn cutoff(&self) -> usize {
         if self.entries.len() < self.k {
             usize::MAX
         } else {
             self.entries[self.k - 1].dist
+        }
+    }
+
+    /// The refine bound that keeps exactly the distances that can still
+    /// enter: `cutoff − 1`, saturating at 0 (the O(m) pointwise check),
+    /// or `usize::MAX` — the full DP — while the set is not full.
+    pub(crate) fn admission_bound(&self) -> usize {
+        match self.cutoff() {
+            usize::MAX => usize::MAX,
+            cutoff => cutoff.saturating_sub(1),
         }
     }
 
@@ -586,13 +599,15 @@ impl Refine {
     ///
     /// `bound == usize::MAX` runs the full DP: pass it while the top-k is
     /// not yet full, and whenever the caller needs the exact distance (an
-    /// id joining a triangle/CSE reference pool). Any other bound — the
-    /// k-th best the caller prunes with — runs the early-abandoning DP,
-    /// which returns every `d <= bound` exactly and `None` above it. That
-    /// loses nothing: once the set is full, [`ResultSet::offer`] drops
-    /// every `d >= best` anyway, so each offer that can change the answer
-    /// is the same as the full DP's. Either way the call counts as one
-    /// true-distance computation.
+    /// id joining a triangle/CSE reference pool). Any other bound runs the
+    /// early-abandoning DP, which returns every `d <= bound` exactly and
+    /// `None` above it. The pruning engines pass
+    /// [`ResultSet::admission_bound`], `cutoff − 1`: once the set is full,
+    /// [`ResultSet::offer`] is stable and drops every `d >= cutoff`, so
+    /// each offer that can change the answer is the same as the full
+    /// DP's, and a bound of 0 is the O(m) pointwise check. The sequential
+    /// scan passes the cutoff itself (see `SequentialScan`). Either way
+    /// the call counts as one true-distance computation.
     #[inline]
     pub(crate) fn step<const D: usize, S: CoordSeq<D>>(
         &mut self,
@@ -629,11 +644,13 @@ mod tests {
     #[test]
     fn result_set_keeps_k_smallest_stably() {
         let mut rs = ResultSet::new(3);
-        assert_eq!(rs.best_so_far(), usize::MAX);
+        assert_eq!(rs.cutoff(), usize::MAX);
+        assert_eq!(rs.admission_bound(), usize::MAX);
         rs.offer(0, 5);
         rs.offer(1, 2);
         rs.offer(2, 5);
-        assert_eq!(rs.best_so_far(), 5);
+        assert_eq!(rs.cutoff(), 5);
+        assert_eq!(rs.admission_bound(), 4);
         rs.offer(3, 1);
         // The later 5 (id 2) is evicted; the earlier 5 (id 0) stays.
         assert_eq!(
@@ -670,6 +687,17 @@ mod tests {
         let n = rs.into_neighbors();
         assert_eq!(n.len(), 2);
         assert_eq!(n[1], Neighbor { id: 1, dist: 2 });
+    }
+
+    #[test]
+    fn a_zero_cutoff_admits_nothing_more() {
+        let mut rs = ResultSet::new(2);
+        rs.offer(0, 0);
+        rs.offer(1, 0);
+        assert_eq!((rs.cutoff(), rs.admission_bound()), (0, 0));
+        rs.offer(2, 0); // a third exact copy ties the cutoff: rejected
+        let ids: Vec<usize> = rs.into_neighbors().iter().map(|n| n.id).collect();
+        assert_eq!(ids, vec![0, 1]);
     }
 
     #[test]

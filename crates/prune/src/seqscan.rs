@@ -114,7 +114,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
         let mut refine = Refine::untimed();
         with_workspace(|ws| {
             for (id, s) in self.arena.views() {
-                let bound = self.bound(result.best_so_far());
+                let bound = self.bound(result.cutoff());
                 refine.step(ctx, id, s, bound, &mut result, ws);
             }
         });
@@ -128,7 +128,11 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
 
     /// The refine bound for a candidate: the k-th best seen so far with
     /// early abandoning (anything above it cannot enter the result, so a
-    /// cut-off DP suffices), `usize::MAX` — the full DP — without.
+    /// cut-off DP suffices), `usize::MAX` — the full DP — without. It is
+    /// the cutoff itself, not the pruning engines' `cutoff − 1`: in the
+    /// parallel paths the bound is shared across workers, and a candidate
+    /// tying it can still belong in the answer ahead of a higher id that
+    /// another chunk holds.
     fn bound(&self, best: usize) -> usize {
         if self.early_abandon {
             best
@@ -166,9 +170,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
                 let mut local = ResultSet::new(k);
                 let mut refine = Refine::untimed();
                 for id in start..end {
-                    let best = shared_bound
-                        .load(Ordering::Relaxed)
-                        .min(local.best_so_far());
+                    let best = shared_bound.load(Ordering::Relaxed).min(local.cutoff());
                     refine.step(
                         ctx,
                         id,
@@ -178,7 +180,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
                         ws,
                     );
                     if self.early_abandon {
-                        shared_bound.fetch_min(local.best_so_far(), Ordering::Relaxed);
+                        shared_bound.fetch_min(local.cutoff(), Ordering::Relaxed);
                     }
                 }
                 (local.into_neighbors(), refine, elapsed_ns(t_chunk))
@@ -237,10 +239,10 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
                     // One arena-block load serves the whole batch.
                     for (qi, ctx) in batch.contexts().iter().enumerate() {
                         let local = &mut locals[qi];
-                        let bound = self.bound(batch.bound(qi).min(local.best_so_far()));
+                        let bound = self.bound(batch.bound(qi).min(local.cutoff()));
                         refines[qi].step(ctx, id, s, bound, local, ws);
                         if self.early_abandon {
-                            batch.tighten(qi, local.best_so_far());
+                            batch.tighten(qi, local.cutoff());
                         }
                     }
                 }

@@ -5,10 +5,15 @@
 //! Each row pins, summed over the queries: the histogram, q-gram and
 //! triangle prune counters, the number of true EDR computations, and an
 //! FNV-1a hash of every neighbour list (ids and distances, in order).
+//! The counters are those of the strict admission cutoff: a candidate is
+//! dismissed once a lower bound reaches the k-th best and refined under
+//! `k-th best − 1`. Against the earlier `> best` test every row kept its
+//! answer hash and no row computed more EDRs (12 620 → 11 715 in total).
 //! `dp_cells` is an upper bound: the values below were captured with a
-//! full DP on every refine, and bounded refines may only fill fewer
-//! cells. On a mismatch the test prints the measured table in the same
-//! form, so a deliberate funnel change can be re-pinned.
+//! full DP on every refine under the earlier test, and bounded refines
+//! may only fill fewer cells. On a mismatch the test prints the measured
+//! table in the same form, so a deliberate funnel change can be
+//! re-pinned (keeping the last column).
 
 use trajsim_core::{max_std_dev, Dataset, MatchThreshold, Trajectory2};
 use trajsim_data::nhl_like;
@@ -46,47 +51,48 @@ type Row = (
     u64,
 );
 
-/// Captured with a full DP on every refine.
+/// Counters under the strict cutoff; `dp_cells` from a full DP on every
+/// refine.
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
-    ("small", "2HPN", 314, 29, 0, 377, 0xbcc80b7dedecf1ad, 1062592),
-    ("small", "2HNP", 314, 29, 0, 377, 0xbcc80b7dedecf1ad, 1062592),
-    ("small", "P2HN", 303, 40, 0, 377, 0xbcc80b7dedecf1ad, 1062592),
-    ("small", "PN2H", 303, 40, 0, 377, 0xbcc80b7dedecf1ad, 1062592),
-    ("small", "N2HP", 314, 29, 0, 377, 0xbcc80b7dedecf1ad, 1062592),
-    ("small", "NP2H", 303, 40, 0, 377, 0xbcc80b7dedecf1ad, 1062592),
-    ("small", "2HE-HSE", 243, 0, 0, 477, 0x4d935121718b9459, 1336320),
-    ("small", "2HE-HSR", 314, 0, 0, 406, 0xbcc80b7dedecf1ad, 1137600),
-    ("small", "1HPN", 167, 121, 0, 432, 0x83eddc25f9eba32d, 1246080),
-    ("small", "1HNP", 167, 121, 0, 432, 0x83eddc25f9eba32d, 1246080),
-    ("small", "P1HN", 161, 127, 0, 432, 0x83eddc25f9eba32d, 1246080),
-    ("small", "PN1H", 161, 127, 0, 432, 0x83eddc25f9eba32d, 1246080),
-    ("small", "N1HP", 167, 121, 0, 432, 0x83eddc25f9eba32d, 1246080),
-    ("small", "NP1H", 161, 127, 0, 432, 0x83eddc25f9eba32d, 1246080),
-    ("small", "1HE-HSE", 142, 0, 0, 578, 0x4d935121718b9459, 1647616),
-    ("small", "1HE-HSR", 167, 0, 0, 553, 0x83eddc25f9eba32d, 1574656),
-    ("small", "PS2(q=1)", 0, 233, 0, 487, 0x95098110f54fe29a, 1372928),
+    ("small", "2HPN", 353, 30, 0, 337, 0xbcc80b7dedecf1ad, 1062592),
+    ("small", "2HNP", 353, 30, 0, 337, 0xbcc80b7dedecf1ad, 1062592),
+    ("small", "P2HN", 339, 44, 0, 337, 0xbcc80b7dedecf1ad, 1062592),
+    ("small", "PN2H", 339, 44, 0, 337, 0xbcc80b7dedecf1ad, 1062592),
+    ("small", "N2HP", 353, 30, 0, 337, 0xbcc80b7dedecf1ad, 1062592),
+    ("small", "NP2H", 339, 44, 0, 337, 0xbcc80b7dedecf1ad, 1062592),
+    ("small", "2HE-HSE", 263, 0, 0, 457, 0x4d935121718b9459, 1336320),
+    ("small", "2HE-HSR", 353, 0, 0, 367, 0xbcc80b7dedecf1ad, 1137600),
+    ("small", "1HPN", 174, 131, 0, 415, 0x83eddc25f9eba32d, 1246080),
+    ("small", "1HNP", 174, 131, 0, 415, 0x83eddc25f9eba32d, 1246080),
+    ("small", "P1HN", 165, 140, 0, 415, 0x83eddc25f9eba32d, 1246080),
+    ("small", "PN1H", 165, 140, 0, 415, 0x83eddc25f9eba32d, 1246080),
+    ("small", "N1HP", 174, 131, 0, 415, 0x83eddc25f9eba32d, 1246080),
+    ("small", "NP1H", 165, 140, 0, 415, 0x83eddc25f9eba32d, 1246080),
+    ("small", "1HE-HSE", 151, 0, 0, 569, 0x4d935121718b9459, 1647616),
+    ("small", "1HE-HSR", 174, 0, 0, 546, 0x83eddc25f9eba32d, 1574656),
+    ("small", "PS2(q=1)", 0, 250, 0, 470, 0x95098110f54fe29a, 1372928),
     ("small", "NTR(maxT=24)", 0, 0, 0, 720, 0x4d935121718b9459, 2067072),
-    ("small", "CSE(c=0)", 0, 0, 4, 716, 0x4d935121718b9459, 2060096),
-    ("2sigma", "2HPN", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "2HNP", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "P2HN", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "PN2H", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "N2HP", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "NP2H", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "2HE-HSE", 511, 0, 0, 209, 0xf9c7c7ff9e4b4ff7, 548352),
-    ("2sigma", "2HE-HSR", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "1HPN", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "1HNP", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "P1HN", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "PN1H", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "N1HP", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "NP1H", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "1HE-HSE", 511, 0, 0, 209, 0xf9c7c7ff9e4b4ff7, 548352),
-    ("2sigma", "1HE-HSR", 592, 0, 0, 128, 0x73f903818d8a65f4, 329408),
-    ("2sigma", "PS2(q=1)", 0, 259, 0, 461, 0xf9c7c7ff9e4b4ff7, 1282304),
-    ("2sigma", "NTR(maxT=24)", 0, 0, 89, 631, 0xf9c7c7ff9e4b4ff7, 1795200),
-    ("2sigma", "CSE(c=17)", 0, 0, 193, 527, 0xf9c7c7ff9e4b4ff7, 1446720),
+    ("small", "CSE(c=0)", 0, 0, 5, 715, 0x4d935121718b9459, 2060096),
+    ("2sigma", "2HPN", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "2HNP", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "P2HN", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "PN2H", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "N2HP", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "NP2H", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "2HE-HSE", 535, 0, 0, 185, 0xf9c7c7ff9e4b4ff7, 548352),
+    ("2sigma", "2HE-HSR", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "1HPN", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "1HNP", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "P1HN", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "PN1H", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "N1HP", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "NP1H", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "1HE-HSE", 535, 0, 0, 185, 0xf9c7c7ff9e4b4ff7, 548352),
+    ("2sigma", "1HE-HSR", 620, 0, 0, 100, 0x73f903818d8a65f4, 329408),
+    ("2sigma", "PS2(q=1)", 0, 272, 0, 448, 0xf9c7c7ff9e4b4ff7, 1282304),
+    ("2sigma", "NTR(maxT=24)", 0, 0, 94, 626, 0xf9c7c7ff9e4b4ff7, 1795200),
+    ("2sigma", "CSE(c=17)", 0, 0, 205, 515, 0xf9c7c7ff9e4b4ff7, 1446720),
 ];
 
 fn fnv1a(hash: &mut u64, value: u64) {
