@@ -37,7 +37,7 @@ commands:
            [--engine ENGINE] [--index art] [--max-triangle M]
            [--json FILE]
   range    <file> --query I --edits K [--eps E]
-  replay   <recording> [--max-drift F] [--check]
+  replay   <recording> [--check] [--max-drift F]
   slow     <recording> [--top N]
   slo      check <spec> <recording|store|timeline>
   watch    <addr> [--every S] [--count N]
@@ -1416,14 +1416,20 @@ fn rerun(rec_path: &str, telemetry: &Telemetry) -> Result<(Recording, Recording)
 /// `trajsim replay <recording>`: rebuilds the dataset, engine, and
 /// workload from the recording's header, re-runs it while capturing a
 /// fresh recording in memory through the same `finish_query` chokepoint,
-/// then checks the answers and reports stage-level drift.
+/// then checks the answers and the work, and reports stage-level drift.
 ///
 /// Answer checking is strict on distances — EDR is deterministic, so the
 /// per-query distance multisets must match exactly. Neighbor *ids* may
 /// legitimately permute among tied distances when the sequential scan's
 /// batched merge visits workers in a different order; that is reported,
-/// not fatal. Timing drift is compared at `--max-drift` (relative,
-/// default 0.5) and only fails the run under `--check`.
+/// not fatal. Each query's work — `edr_computed`, `dp_cells` and the
+/// three `pruned_*` counters — is deterministic too, and is compared
+/// exactly as a multiset; a difference fails the run under `--check`.
+/// Latency drift is always reported, at `--max-drift` (relative, default
+/// 0.5), but it fails a `--check` run only when `--max-drift` is given:
+/// the tail percentiles of a short workload are its top few samples, and
+/// one scheduler stall moves them past any tolerance with the same
+/// answers and work.
 fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
     let rec_path = parsed
         .positional(1)
@@ -1460,6 +1466,19 @@ fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
              distances in up to {permuted} queries"
         );
     }
+    let check = parsed.flag("check");
+    let (want, got) = (work_counters(&recording), work_counters(&replayed));
+    if want == got {
+        println!("  work counters: identical (edr_computed, dp_cells, pruned_h/q/t)");
+    } else {
+        let moved = want.iter().zip(&got).filter(|(a, b)| a != b).count();
+        println!("  work counters: differ in up to {moved} queries");
+        if check {
+            return Err("replay: per-query work counters (edr_computed, dp_cells, \
+                        pruned_*) differ from the recording"
+                .into());
+        }
+    }
 
     let tolerance: f64 = parsed.get_or("max-drift", 0.5f64)?;
     if !(0.0..=1.0).contains(&tolerance) {
@@ -1471,10 +1490,34 @@ fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
         tolerance,
     );
     print!("{}", report.render());
-    if parsed.flag("check") && report.drifted() {
-        return Err("replay: drift vs the recording exceeds --max-drift".into());
+    if check && report.drifted() {
+        if parsed.get("max-drift").is_some() {
+            return Err("replay: drift vs the recording exceeds --max-drift".into());
+        }
+        println!("  drift reported, not gated: pass --max-drift F to gate it");
     }
     Ok(())
+}
+
+/// Each record's work counters — `edr_computed`, `dp_cells`, `pruned_h`,
+/// `pruned_q`, `pruned_t` — the list sorted, so recordings compare as
+/// multisets like [`neighbor_sets`].
+fn work_counters(recording: &Recording) -> Vec<[u64; 5]> {
+    let mut work: Vec<[u64; 5]> = recording
+        .records
+        .iter()
+        .map(|r| {
+            [
+                r.edr_computed,
+                r.dp_cells,
+                r.pruned_h,
+                r.pruned_q,
+                r.pruned_t,
+            ]
+        })
+        .collect();
+    work.sort_unstable();
+    work
 }
 
 /// Each record's answer as a `(dist, id)`-sorted list, the lists sorted:
@@ -2395,6 +2438,66 @@ mod tests {
         )
         .unwrap();
         assert!(run(&["replay", &empty]).unwrap_err().contains("meta"));
+    }
+
+    /// `line` with the number after `"key":` replaced by `value`.
+    fn set_field(line: &str, key: &str, value: u64) -> String {
+        let tag = format!("\"{key}\":");
+        let at = line.find(&tag).expect("field present") + tag.len();
+        let rest = line[at..].trim_start();
+        let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        let end = line.len() - rest.len() + digits;
+        format!("{}{value}{}", &line[..at], &line[end..])
+    }
+
+    #[test]
+    fn replay_check_gates_work_counters_and_latency_only_on_request() {
+        let _g = sink_guard();
+        let csv = tmp("replay-gates.csv");
+        let rec = tmp("replay-gates.flight.jsonl");
+        run(&["generate", "walk", "--n", "40", "--seed", "31", "-o", &csv]).unwrap();
+        run(&["knn", &csv, "--queries", "12", "--k", "3", "--record", &rec]).unwrap();
+        run(&["replay", &rec, "--check"]).unwrap();
+        let text = std::fs::read_to_string(&rec).unwrap();
+        let edit = |name: &str, key: &str, value: u64| {
+            let mut lines: Vec<String> = text.lines().map(String::from).collect();
+            lines[1] = set_field(&lines[1], key, value);
+            let path = tmp(name);
+            std::fs::write(&path, lines.join("\n")).unwrap();
+            path
+        };
+        // One query's work moved: the answers still match, so a plain
+        // replay passes, and --check fails on the counters.
+        for key in [
+            "edr_computed",
+            "dp_cells",
+            "pruned_h",
+            "pruned_q",
+            "pruned_t",
+        ] {
+            let moved = edit(
+                &format!("replay-gates-{key}.flight.jsonl"),
+                key,
+                987_654_321,
+            );
+            run(&["replay", &moved]).unwrap();
+            let err = run(&["replay", &moved, "--check"]).unwrap_err();
+            assert!(
+                err.contains("work counters"),
+                "{key}: unexpected error: {err}"
+            );
+        }
+        // Every latency 100 s: reported, gated only with --max-drift.
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        for line in &mut lines[1..] {
+            *line = set_field(line, "total_ns", 100_000_000_000);
+        }
+        let slow = tmp("replay-gates-slow.flight.jsonl");
+        std::fs::write(&slow, lines.join("\n")).unwrap();
+        run(&["replay", &slow, "--check"]).unwrap();
+        let err = run(&["replay", &slow, "--check", "--max-drift", "0.5"]).unwrap_err();
+        assert!(err.contains("--max-drift"), "unexpected error: {err}");
+        run(&["replay", &slow, "--max-drift", "0.5"]).unwrap();
     }
 
     #[test]

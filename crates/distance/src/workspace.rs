@@ -187,11 +187,11 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut EdrWorkspace) -> R) -> R {
 /// the matching threshold, so engines pass it straight to the
 /// `*_with`-style entry points in [`crate::edr`].
 ///
-/// The first bounded call ([`QueryContext::edr_within_counted`]) also
-/// builds per-dimension rank masks of the query, from which the
-/// sliding-band kernel builds each candidate point's ε-match word with
-/// two table lookups per dimension; contexts that only ever compute full
-/// distances never build them.
+/// The first bounded call ([`QueryContext::edr_within_counted`], or
+/// [`QueryContext::edr_banded`]) also builds per-dimension rank masks of
+/// the query, from which the sliding-band kernel builds each candidate
+/// point's ε-match word with two table lookups per dimension; contexts
+/// that only ever call [`QueryContext::edr`] never build them.
 #[derive(Debug, Clone)]
 pub struct QueryContext<const D: usize> {
     coords: Vec<f64>,
@@ -247,7 +247,10 @@ impl<const D: usize> QueryContext<D> {
     }
 
     /// `EDR(query, candidate)` with DP-cell accounting, on borrowed
-    /// scratch.
+    /// scratch: the bit-parallel full DP, every match word built by
+    /// compares. The reference `SequentialScan` runs on it, so the
+    /// baseline every engine's speed-up is measured against stays put;
+    /// [`QueryContext::edr_banded`] is the faster route to the same value.
     pub fn edr_counted<S: CoordSeq<D>>(&self, candidate: S, ws: &mut EdrWorkspace) -> (usize, u64) {
         crate::edr_counted_with(self, candidate, self.eps, ws)
     }
@@ -259,7 +262,11 @@ impl<const D: usize> QueryContext<D> {
 
     /// Early-abandoning EDR with DP-cell accounting, on borrowed scratch:
     /// [`crate::edr_within_counted_with`], with the query's rank masks
-    /// building the sliding-band kernel's match words.
+    /// building the sliding-band kernel's match words (compares build
+    /// them for a non-finite query, one longer than 1 024 points, or one
+    /// whose words would outnumber the full DP's). The pruning engines'
+    /// bounded refines, range queries, the early-abandoning scans and
+    /// [`QueryContext::edr_banded`] all run here.
     pub fn edr_within_counted<S: CoordSeq<D>>(
         &self,
         candidate: S,
@@ -279,6 +286,17 @@ impl<const D: usize> QueryContext<D> {
         ws: &mut EdrWorkspace,
     ) -> Option<usize> {
         self.edr_within_counted(candidate, bound, ws).0
+    }
+
+    /// `EDR(query, candidate)` through [`QueryContext::edr_within`] with
+    /// an unbounded bound: the sliding-band kernel never abandons then,
+    /// reads its target diagonal only once, and builds its match words
+    /// from the query's rank masks. Equal to [`QueryContext::edr`]; the
+    /// offline EDR matrices (the near-triangle `pmatrix`, the CSE and
+    /// evaluation matrices) compute every entry this way.
+    pub fn edr_banded<S: CoordSeq<D>>(&self, candidate: S, ws: &mut EdrWorkspace) -> usize {
+        self.edr_within(candidate, usize::MAX, ws)
+            .expect("an unbounded band never abandons")
     }
 }
 

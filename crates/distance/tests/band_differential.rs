@@ -6,7 +6,9 @@
 //! missed by one rounding, with NaN on either side, across 64-lane word
 //! boundaries, at bounds around one and two band words, and with the
 //! query on either side of the length order. Each call's lanes must also
-//! stay within the full DP's.
+//! stay within the full DP's. Unbounded calls (a bound of at least the
+//! longer length, and `usize::MAX` as `QueryContext::edr_banded` passes
+//! for the offline EDR matrices) must return the naive DP's exact EDR.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,8 +21,9 @@ fn eps(v: f64) -> MatchThreshold {
 }
 
 /// The bounds the band kernel treats differently — one word (≤ 31), two
-/// words (32–63), three (64), the whole pair — plus the length difference
-/// itself and the straddle of the true distance.
+/// words (32–63), three (64), the whole pair and past it (unbounded: no
+/// abandon) — plus the length difference itself and the straddle of the
+/// true distance.
 fn bounds(r: &Trajectory2, s: &Trajectory2, true_d: usize) -> Vec<usize> {
     let diff = r.len().abs_diff(s.len());
     let longest = r.len().max(s.len());
@@ -31,7 +34,9 @@ fn bounds(r: &Trajectory2, s: &Trajectory2, true_d: usize) -> Vec<usize> {
         63,
         64,
         longest,
+        longest + 1,
         longest + 7,
+        usize::MAX,
         diff,
         diff + 1,
         true_d.saturating_sub(1),
@@ -68,6 +73,9 @@ fn check_pair(r: &Trajectory2, s: &Trajectory2, e: MatchThreshold, ws: &mut EdrW
                 lanes <= full_lanes,
                 "bound {bound}: {lanes} lanes over the full DP's {full_lanes}"
             );
+            if bound == usize::MAX {
+                assert_eq!(ctx.edr_banded(candidate, ws), d.expect("unbounded"));
+            }
         }
     }
 }
@@ -184,7 +192,10 @@ proptest! {
 fn lengths_across_word_boundaries_with_one_reused_workspace() {
     // Lengths at and around 64-lane multiples, paired with lengths one
     // bound apart, through one workspace whose bit-vectors change width
-    // from call to call.
+    // from call to call. Each pair also runs with the longer walk moved
+    // out of reach: nothing matches, the distance is the longer length,
+    // and every bound below it — past the shorter length too — gives
+    // `None`.
     let mut rng = StdRng::seed_from_u64(0xBA4D);
     let mut ws = EdrWorkspace::new();
     let e = eps(0.5);
@@ -195,6 +206,33 @@ fn lengths_across_word_boundaries_with_one_reused_workspace() {
             let r = grid_walk(&mut rng, len, 0.5);
             let s = grid_walk(&mut rng, len + delta, 0.5);
             check_pair(&r, &s, e, &mut ws);
+            let far: Vec<(f64, f64)> = s.iter().map(|p| (p.x() + 1e4, p.y())).collect();
+            let far = Trajectory2::from_xy(&far);
+            check_pair(&r, &far, e, &mut ws);
+            if delta >= 2 {
+                // A bound of the shorter length is passed before the last
+                // column, so the band must still abandon there.
+                let ctx = QueryContext::from_trajectory(&r, e);
+                let (d, lanes) = ctx.edr_within_counted(&far, len, &mut ws);
+                assert_eq!(d, None);
+                assert!(
+                    lanes < edr_counted(&r, &far, e).1,
+                    "len {len}: no early abandon"
+                );
+            }
         }
+    }
+}
+
+#[test]
+fn a_query_past_the_rank_mask_cap_keeps_compared_words() {
+    // Past 1 024 points a context builds no rank masks; every bound,
+    // unbounded ones included, must still match the naive DP.
+    let mut rng = StdRng::seed_from_u64(0x0401);
+    let mut ws = EdrWorkspace::new();
+    let long = grid_walk(&mut rng, 1030, 0.5);
+    for len in [1usize, 65, 1030, 1100] {
+        let other = grid_walk(&mut rng, len, 0.5);
+        check_pair(&long, &other, eps(1.0), &mut ws);
     }
 }

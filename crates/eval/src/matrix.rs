@@ -27,8 +27,10 @@ impl DistanceMatrix {
     /// Computes the EDR pairwise matrix through the allocation-free
     /// refine path: candidates live in a [`TrajectoryArena`] and are
     /// visited in layout order, the row trajectory is embedded once per
-    /// row as a [`QueryContext`], and each worker reuses one pre-grown
-    /// [`EdrWorkspace`] across all of its rows.
+    /// row as a [`QueryContext`] (each entry is
+    /// [`QueryContext::edr_banded`], match words from the row's rank
+    /// masks), and each worker reuses one pre-grown [`EdrWorkspace`]
+    /// across all of its rows.
     pub fn edr_from_dataset<const D: usize>(data: &Dataset<D>, eps: MatchThreshold) -> Self {
         let n = data.len();
         let arena = TrajectoryArena::from_dataset(data);
@@ -38,7 +40,9 @@ impl DistanceMatrix {
             || EdrWorkspace::with_capacity(arena.max_len()),
             |ws, _, &i| {
                 let ctx = QueryContext::new(arena.view(i), eps);
-                (0..i).map(|j| ctx.edr(arena.view(j), ws) as f64).collect()
+                (0..i)
+                    .map(|j| ctx.edr_banded(arena.view(j), ws) as f64)
+                    .collect()
             },
         );
         DistanceMatrix {
@@ -117,6 +121,8 @@ impl DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use trajsim_core::{MatchThreshold, Trajectory2};
     use trajsim_distance::Measure;
 
@@ -159,6 +165,32 @@ mod tests {
         let generic = DistanceMatrix::compute(&data, &Measure::Edr { eps });
         let arena = DistanceMatrix::edr_from_dataset(&data, eps);
         assert_eq!(arena, generic);
+    }
+
+    #[test]
+    fn edr_from_dataset_entries_are_true_distances() {
+        // Lengths on either side of the 64-point word boundaries, an
+        // empty trajectory, and a last row longer than every other one.
+        let mut rng = StdRng::seed_from_u64(17);
+        let data: Dataset<2> = [1usize, 64, 65, 0, 2, 63, 129, 1, 30, 65, 140]
+            .iter()
+            .map(|&len| {
+                Trajectory2::from_xy(
+                    &(0..len)
+                        .map(|_| (rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0)))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let eps = MatchThreshold::new(1.0).unwrap();
+        let m = DistanceMatrix::edr_from_dataset(&data, eps);
+        let t = data.trajectories();
+        for (i, a) in t.iter().enumerate() {
+            for (j, b) in t.iter().enumerate() {
+                let want = trajsim_distance::edr_naive(a, b, eps) as f64;
+                assert_eq!(m.get(i, j), want, "({i}, {j})");
+            }
+        }
     }
 
     #[test]

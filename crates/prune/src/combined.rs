@@ -240,7 +240,9 @@ impl CombinedConfig {
 /// database and amortized over every query, the in-memory stand-in for
 /// the paper's disk-resident pmatrix columns. Rows are computed in
 /// parallel: one `trajsim-parallel` task per reference row, one
-/// pre-grown EDR workspace per worker, reused across its rows.
+/// pre-grown EDR workspace per worker, reused across its rows. Each
+/// entry is [`QueryContext::edr_banded`], whose match words come from
+/// the reference's rank masks.
 pub fn build_pmatrix<const D: usize>(
     arena: &TrajectoryArena<D>,
     eps: MatchThreshold,
@@ -253,7 +255,7 @@ pub fn build_pmatrix<const D: usize>(
         |ws, _, &r| {
             let ctx = QueryContext::new(arena.view(r), eps);
             (0..arena.len())
-                .map(|s| ctx.edr(arena.view(s), ws))
+                .map(|s| ctx.edr_banded(arena.view(s), ws))
                 .collect()
         },
     )
@@ -1208,16 +1210,42 @@ mod tests {
         );
     }
 
+    /// Random walks of the given lengths.
+    fn walks_of(seed: u64, lens: &[usize]) -> Dataset<2> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        lens.iter()
+            .map(|&len| {
+                let (mut x, mut y) = (0.0, 0.0);
+                Trajectory2::from_xy(
+                    &(0..len)
+                        .map(|_| {
+                            x += rng.gen_range(-0.6..0.6);
+                            y += rng.gen_range(-0.6..0.6);
+                            (x, y)
+                        })
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn build_pmatrix_rows_are_true_distances() {
-        let db = scatter_db(9, 12, (1, 9));
+        // The first reference is longer than every candidate; lengths 1,
+        // 64 and 65 sit on either side of a word boundary.
+        let db = walks_of(9, &[150, 1, 64, 65, 2, 63, 129, 128, 30, 97, 1, 65]);
         let e = eps(0.5);
         let pm = build_pmatrix(&TrajectoryArena::from_dataset(&db), e, 5);
         assert_eq!(pm.len(), 5);
+        let t = db.trajectories();
         for (r, row) in pm.iter().enumerate() {
-            let truth = SequentialScan::new(&db, e).knn(&db.trajectories()[r], db.len());
-            for n in truth.neighbors {
-                assert_eq!(row[n.id], n.dist, "pmatrix[{r}][{}]", n.id);
+            assert_eq!(row.len(), db.len());
+            for (s, &d) in row.iter().enumerate() {
+                assert_eq!(
+                    d,
+                    trajsim_distance::edr_naive(&t[r], &t[s], e),
+                    "pmatrix[{r}][{s}]"
+                );
             }
         }
         // The pool is capped at the database size.

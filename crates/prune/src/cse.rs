@@ -53,23 +53,30 @@ pub fn cse_constant(matrix: &[Vec<usize>]) -> i64 {
 }
 
 /// Computes the full pairwise EDR matrix of a database (the offline input
-/// to [`cse_constant`]).
+/// to [`cse_constant`]). Row `i`'s pairs `(i, j > i)` are one
+/// `trajsim-parallel` task, with one pre-grown workspace per worker and
+/// each entry from [`QueryContext::edr_banded`]; the lower triangle
+/// mirrors them.
 pub fn pairwise_edr_matrix<const D: usize>(
     dataset: &Dataset<D>,
     eps: MatchThreshold,
 ) -> Vec<Vec<usize>> {
     let n = dataset.len();
     let arena = TrajectoryArena::from_dataset(dataset);
+    let ids: Vec<usize> = (0..n).collect();
+    let upper: Vec<Vec<usize>> = trajsim_parallel::par_map_with(
+        &ids,
+        || EdrWorkspace::with_capacity(arena.max_len()),
+        |ws, _, &i| {
+            let ctx = QueryContext::new(arena.view(i), eps);
+            ((i + 1)..n)
+                .map(|j| ctx.edr_banded(arena.view(j), ws))
+                .collect()
+        },
+    );
     let mut m = vec![vec![0usize; n]; n];
-    // Each distance fills the (i, j) and (j, i) cells of two different
-    // rows, so index loops are the clear form here. One grow-only
-    // workspace serves every pair; the query side is re-embedded per row.
-    let mut ws = EdrWorkspace::with_capacity(arena.max_len());
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        let ctx = QueryContext::new(arena.view(i), eps);
-        for j in (i + 1)..n {
-            let d = ctx.edr(arena.view(j), &mut ws);
+    for (i, row) in upper.into_iter().enumerate() {
+        for (j, d) in ((i + 1)..n).zip(row) {
             m[i][j] = d;
             m[j][i] = d;
         }
@@ -259,6 +266,37 @@ mod tests {
                         "violation survives at ({x},{y},{z})"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pairwise_edr_matrix_entries_are_true_distances() {
+        // Lengths on either side of the 64-point word boundaries, and a
+        // first row longer than every other trajectory.
+        let mut rng = StdRng::seed_from_u64(13);
+        let db: Dataset<2> = [140usize, 1, 64, 65, 2, 63, 129, 1, 30, 65]
+            .iter()
+            .map(|&len| {
+                Trajectory2::from_xy(
+                    &(0..len)
+                        .map(|_| (rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0)))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let e = eps(1.0);
+        let m = pairwise_edr_matrix(&db, e);
+        let t = db.trajectories();
+        assert_eq!(m.len(), db.len());
+        for (i, row) in m.iter().enumerate() {
+            assert_eq!(row.len(), db.len());
+            for (j, &d) in row.iter().enumerate() {
+                assert_eq!(
+                    d,
+                    trajsim_distance::edr_naive(&t[i], &t[j], e),
+                    "m[{i}][{j}]"
+                );
             }
         }
     }
