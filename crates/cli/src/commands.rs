@@ -1424,12 +1424,16 @@ fn rerun(rec_path: &str, telemetry: &Telemetry) -> Result<(Recording, Recording)
 /// batched merge visits workers in a different order; that is reported,
 /// not fatal. Each query's work — `edr_computed`, `dp_cells` and the
 /// three `pruned_*` counters — is deterministic too, and is compared
-/// exactly as a multiset; a difference fails the run under `--check`.
-/// Latency drift is always reported, at `--max-drift` (relative, default
-/// 0.5), but it fails a `--check` run only when `--max-drift` is given:
-/// the tail percentiles of a short workload are its top few samples, and
-/// one scheduler stall moves them past any tolerance with the same
-/// answers and work.
+/// exactly as a multiset. The stats diff that follows compares the
+/// workload's shape (query count, pruned total, pruning power, each
+/// stage's candidate flow and selectivity) exactly, and its latency
+/// percentiles at the relative `--max-drift`. Under `--check` a
+/// difference in the work counters or the shape fails the run, and so
+/// does latency drift when `--max-drift` is given. Without it the
+/// latency rows are printed at a tolerance of 1, which a relative drift
+/// never exceeds: the tail percentiles of a short workload are its top
+/// few samples, and one scheduler stall moves them past any tolerance
+/// with the same answers and work.
 fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
     let rec_path = parsed
         .positional(1)
@@ -1466,21 +1470,16 @@ fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
              distances in up to {permuted} queries"
         );
     }
-    let check = parsed.flag("check");
     let (want, got) = (work_counters(&recording), work_counters(&replayed));
-    if want == got {
-        println!("  work counters: identical (edr_computed, dp_cells, pruned_h/q/t)");
-    } else {
+    let work_moved = want != got;
+    if work_moved {
         let moved = want.iter().zip(&got).filter(|(a, b)| a != b).count();
         println!("  work counters: differ in up to {moved} queries");
-        if check {
-            return Err("replay: per-query work counters (edr_computed, dp_cells, \
-                        pruned_*) differ from the recording"
-                .into());
-        }
+    } else {
+        println!("  work counters: identical (edr_computed, dp_cells, pruned_h/q/t)");
     }
 
-    let tolerance: f64 = parsed.get_or("max-drift", 0.5f64)?;
+    let tolerance: f64 = parsed.get_or("max-drift", 1.0f64)?;
     if !(0.0..=1.0).contains(&tolerance) {
         return Err("option --max-drift: must be in 0..=1".into());
     }
@@ -1490,11 +1489,20 @@ fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
         tolerance,
     );
     print!("{}", report.render());
-    if check && report.drifted() {
-        if parsed.get("max-drift").is_some() {
-            return Err("replay: drift vs the recording exceeds --max-drift".into());
+    if parsed.get("max-drift").is_none() {
+        println!("  latency rows not gated: pass --max-drift F to gate them");
+    }
+    if parsed.flag("check") {
+        if work_moved {
+            return Err("replay: per-query work counters (edr_computed, dp_cells, \
+                        pruned_*) differ from the recording"
+                .into());
         }
-        println!("  drift reported, not gated: pass --max-drift F to gate it");
+        if report.drifted() {
+            return Err("replay: drift vs the recording (shape rows exact, \
+                        latency rows at --max-drift)"
+                .into());
+        }
     }
     Ok(())
 }
@@ -2451,7 +2459,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_check_gates_work_counters_and_latency_only_on_request() {
+    fn replay_check_gates_work_and_shape_and_latency_only_on_request() {
         let _g = sink_guard();
         let csv = tmp("replay-gates.csv");
         let rec = tmp("replay-gates.flight.jsonl");
@@ -2486,6 +2494,19 @@ mod tests {
                 err.contains("work counters"),
                 "{key}: unexpected error: {err}"
             );
+        }
+        // One query's candidate flow or pruned total moved, its work
+        // counters not: the stats diff's shape rows are exact, so --check
+        // fails on them without --max-drift.
+        for key in ["h_in", "h_out", "q_in", "q_out", "pruned"] {
+            let moved = edit(
+                &format!("replay-gates-{key}.flight.jsonl"),
+                key,
+                987_654_321,
+            );
+            run(&["replay", &moved]).unwrap();
+            let err = run(&["replay", &moved, "--check"]).unwrap_err();
+            assert!(err.contains("shape rows"), "{key}: unexpected error: {err}");
         }
         // Every latency 100 s: reported, gated only with --max-drift.
         let mut lines: Vec<String> = text.lines().map(String::from).collect();

@@ -54,11 +54,11 @@
 //! Full distances take one of two routes. The offline EDR matrices — the
 //! near-triangle `pmatrix`, the CSE pairwise matrix and the evaluation
 //! `DistanceMatrix` — call [`QueryContext::edr_banded`](crate::QueryContext::edr_banded):
-//! the sliding band with an unbounded bound, which never abandons, reads
-//! the target diagonal only in its last column and so returns the exact
-//! distance with the row trajectory's rank masks building the match
-//! words. [`QueryContext::edr`](crate::QueryContext::edr) and the free
-//! `edr` stay on the bit-parallel kernel's compare-built words: the plain
+//! the sliding band with an unbounded bound, which never abandons and
+//! so returns the exact distance, with the row trajectory's rank masks
+//! building the match words.
+//! [`QueryContext::edr`](crate::QueryContext::edr) and the free `edr`
+//! stay on the bit-parallel kernel's compare-built words: the plain
 //! `SequentialScan` (and the first-k and reference-pool refines of the
 //! pruning engines) run on it, and the scan's time is the denominator of
 //! every speed-up the benchmarks report, so it moves only together with a
@@ -182,8 +182,8 @@ pub(crate) fn within_naive_counted<const D: usize, O: CoordSeq<D>, I: CoordSeq<D
 /// just above the window plus two popcounts of the vertical deltas down
 /// to it, and the kernel abandons as soon as it passes `bound`. A bound
 /// of at least `max(text_len, pattern_len)` cannot be passed, so such a
-/// call reads the cell only in the last column and returns the exact
-/// distance: it is the full DP on a window of the whole pattern.
+/// call returns the exact distance: it is the full DP on a window of the
+/// whole pattern.
 ///
 /// `fill(j, p0, eq)` writes text element `j`'s ε-match word(s) against
 /// pattern positions `p0..p0 + 64·eq.len()` (bit `k` ↔ position
@@ -201,10 +201,8 @@ pub(crate) fn within_band_counted(
     mut fill: impl FnMut(usize, usize, &mut [u64]),
 ) -> (Option<usize>, u64) {
     let (m, n) = (text_len, pattern_len);
-    // EDR <= max(m, n): a wider band changes nothing, and a bound that
-    // wide can never be passed.
+    // EDR <= max(m, n): a wider band changes nothing.
     let b = bound.min(m.max(n));
-    let unbounded = bound >= m.max(n);
     let words = band_words(n, b);
     let last_p0 = n.saturating_sub(64 * words);
     // Column 0: D[i][0] = i, every vertical delta +1 (`bits` sets VP).
@@ -254,11 +252,6 @@ pub(crate) fn within_band_counted(
             vp[w] = mh | !(xv | ph);
             vn[w] = ph & xv;
             hin = hout;
-        }
-        // An unbounded call cannot abandon: it reads the target-diagonal
-        // cell only in the last column, where that cell is the distance.
-        if unbounded && j + 1 < m {
-            continue;
         }
         // The target diagonal reaches the pattern at column m - n; above
         // it, its cells extend the boundary with the constant |m - n|.
