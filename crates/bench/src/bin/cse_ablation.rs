@@ -16,12 +16,12 @@
 //!   queries, which NTR never produces.
 
 use trajsim_bench::{probing_queries, render_table, retrieval_eps, write_json, Args};
-use trajsim_core::{Dataset, TrajectoryArena};
+use trajsim_core::Dataset;
 use trajsim_data::{
     asl_retrieval_like, corrupt, kungfu_like, seeded_rng, slip_like, CorruptionConfig,
 };
-use trajsim_prune::cse::{cse_constant, CseKnn};
-use trajsim_prune::{build_pmatrix, CombinedConfig, CombinedKnn, KnnEngine, SequentialScan};
+use trajsim_prune::cse::{cse_constant, pairwise_edr_matrix, CseKnn};
+use trajsim_prune::{CombinedConfig, CombinedKnn, KnnEngine, SequentialScan};
 
 fn main() {
     let args = Args::parse();
@@ -39,7 +39,7 @@ fn main() {
     for (name, data) in &datasets {
         let eps = retrieval_eps(data);
         eprintln!("[{name}] N = {}: full pairwise matrix...", data.len());
-        let full = build_pmatrix(&TrajectoryArena::from_dataset(data), eps, data.len());
+        let full = pairwise_edr_matrix(data, eps);
         let c = cse_constant(&full);
         let mean_len: f64 =
             data.iter().map(|(_, t)| t.len() as f64).sum::<f64>() / data.len() as f64;

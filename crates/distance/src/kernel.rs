@@ -51,9 +51,9 @@
 //! feature reroutes both entry points to the naive kernel so any result
 //! can be reproduced on the reference path.
 //!
-//! Full distances take one of two routes. The offline EDR matrices — the
-//! near-triangle `pmatrix`, the CSE pairwise matrix and the evaluation
-//! `DistanceMatrix` — call [`QueryContext::edr_banded`](crate::QueryContext::edr_banded):
+//! Full distances take one of two routes. The exact offline EDR matrices
+//! — the CSE pairwise matrix and the evaluation `DistanceMatrix` — call
+//! [`QueryContext::edr_banded`](crate::QueryContext::edr_banded):
 //! the sliding band with an unbounded bound, which never abandons and
 //! so returns the exact distance, with the row trajectory's rank masks
 //! building the match words.

@@ -291,8 +291,8 @@ impl<const D: usize> QueryContext<D> {
     /// `EDR(query, candidate)` through [`QueryContext::edr_within`] with
     /// an unbounded bound: the sliding-band kernel never abandons then,
     /// and builds its match words from the query's rank masks. Equal to [`QueryContext::edr`]; the
-    /// offline EDR matrices (the near-triangle `pmatrix`, the CSE and
-    /// evaluation matrices) compute every entry this way.
+    /// exact offline EDR matrices (the CSE and evaluation matrices)
+    /// compute every entry this way.
     pub fn edr_banded<S: CoordSeq<D>>(&self, candidate: S, ws: &mut EdrWorkspace) -> usize {
         self.edr_within(candidate, usize::MAX, ws)
             .expect("an unbounded band never abandons")

@@ -235,27 +235,42 @@ impl CombinedConfig {
 }
 
 /// The near-triangle filter's offline `pmatrix` (§4.2): row `r` holds
-/// `EDR(db[r], ·)` for each of the first `references` trajectories of
-/// `arena` (capped at N) — O(references · N) EDRs, done once per
-/// database and amortized over every query, the in-memory stand-in for
-/// the paper's disk-resident pmatrix columns. Rows are computed in
-/// parallel: one `trajsim-parallel` task per reference row, one
-/// pre-grown EDR workspace per worker, reused across its rows. Each
-/// entry is [`QueryContext::edr_banded`], whose match words come from
-/// the reference's rank masks.
+/// `min(EDR(db[r], S), L − |S| + 1)` for every trajectory `S` of `arena`
+/// and each of the first `references` trajectories (capped at N), where
+/// `L` is the arena's longest length — O(references · N) EDRs, done
+/// once per database and amortized over every query, the in-memory
+/// stand-in for the paper's disk-resident pmatrix columns.
+///
+/// The cap loses nothing the triangle test can use. Once the top-k is
+/// full its cutoff is an exact EDR of some `S_i`, at least
+/// `|Q| − |S_i| ≥ |Q| − L` and at least 0, while `EDR(Q, R) ≤
+/// max(|Q|, L)`; so `EDR(Q, R) − p − |S| ≥ cutoff` can only hold for
+/// `p ≤ L − |S|`, where the entry is exact, and every larger entry —
+/// the cap included — fails it. Each entry is one bounded
+/// [`QueryContext::edr_within`] under `L − |S|`: a length pre-check
+/// answers many without any DP, and the rest run a band of that width
+/// with the diagonal cut-off, match words from the reference's rank
+/// masks. Rows are computed in parallel: one `trajsim-parallel` task
+/// per reference row, one pre-grown EDR workspace per worker, reused
+/// across its rows.
 pub fn build_pmatrix<const D: usize>(
     arena: &TrajectoryArena<D>,
     eps: MatchThreshold,
     references: usize,
 ) -> Vec<Vec<usize>> {
     let ids: Vec<usize> = (0..references.min(arena.len())).collect();
+    let longest = arena.max_len();
     trajsim_parallel::par_map_with(
         &ids,
-        || EdrWorkspace::with_capacity(arena.max_len()),
+        || EdrWorkspace::with_capacity(longest),
         |ws, _, &r| {
             let ctx = QueryContext::new(arena.view(r), eps);
             (0..arena.len())
-                .map(|s| ctx.edr_banded(arena.view(s), ws))
+                .map(|s| {
+                    let usable = longest - arena.len_of(s);
+                    ctx.edr_within(arena.view(s), usable, ws)
+                        .unwrap_or(usable + 1)
+                })
                 .collect()
         },
     )
@@ -381,7 +396,11 @@ pub struct CombinedKnn<'a, const D: usize> {
     /// Sorted q-gram means, when the order names the q-gram filter.
     qgrams: Option<Vec<SortedMeans<D>>>,
     /// `pmatrix[r][s]` for the reference pool (the first `max_triangle`
-    /// ids); empty unless the order names the triangle filter.
+    /// ids): `EDR(R, S)` wherever it is at most `L − |S|` (`L` the
+    /// longest trajectory), anything above that elsewhere, since such an
+    /// entry can never pass the triangle test ([`build_pmatrix`] stores
+    /// `L − |S| + 1` there); empty unless the order names the triangle
+    /// filter.
     pmatrix: Vec<Vec<usize>>,
     /// Signature indexes for sublinear candidate generation, when built.
     index: Option<ArtIndexes<D>>,
@@ -403,10 +422,15 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         Self::with_pmatrix(dataset, eps, config, pmatrix)
     }
 
-    /// Builds with an externally computed reference `pmatrix` (row `r` =
-    /// `EDR(db[r], ·)` for `r < max_triangle.min(N)`; no rows when the
-    /// order has no triangle filter), so one matrix can serve several
-    /// configurations.
+    /// Builds with an externally computed reference `pmatrix` (row `r`
+    /// for `r < max_triangle.min(N)`; no rows when the order has no
+    /// triangle filter), so one matrix can serve several configurations.
+    /// Entry `[r][s]` must be `EDR(db[r], db[s])` wherever that is at
+    /// most `L − |db[s]|`, with `L` the longest trajectory in `dataset`;
+    /// above that any value greater than `L − |db[s]|` gives the same
+    /// answers and counters, because no such entry passes the triangle
+    /// test (see [`build_pmatrix`]). The exact matrix and
+    /// [`build_pmatrix`]'s capped one are both valid.
     ///
     /// # Panics
     ///
@@ -1231,28 +1255,75 @@ mod tests {
 
     #[test]
     fn build_pmatrix_rows_are_true_distances() {
-        // The first reference is longer than every candidate; lengths 1,
-        // 64 and 65 sit on either side of a word boundary.
-        let db = walks_of(9, &[150, 1, 64, 65, 2, 63, 129, 128, 30, 97, 1, 65]);
+        // L = 150. Reference 0 is longer than every candidate but the
+        // other length-L walk (id 6), whose entries run the bound-0
+        // path; lengths 1, 64 and 65 sit on either side of a word
+        // boundary, and reference 1 has length 1.
+        let db = walks_of(9, &[150, 1, 64, 65, 2, 63, 150, 129, 128, 30, 97, 1, 65]);
+        let longest = 150;
         let e = eps(0.5);
-        let pm = build_pmatrix(&TrajectoryArena::from_dataset(&db), e, 5);
-        assert_eq!(pm.len(), 5);
+        let pm = build_pmatrix(&TrajectoryArena::from_dataset(&db), e, 7);
+        assert_eq!(pm.len(), 7);
         let t = db.trajectories();
+        let (mut exact, mut capped) = (0, 0);
         for (r, row) in pm.iter().enumerate() {
             assert_eq!(row.len(), db.len());
             for (s, &d) in row.iter().enumerate() {
-                assert_eq!(
-                    d,
-                    trajsim_distance::edr_naive(&t[r], &t[s], e),
-                    "pmatrix[{r}][{s}]"
-                );
+                let usable = longest - t[s].len();
+                let truth = trajsim_distance::edr_naive(&t[r], &t[s], e);
+                assert_eq!(d, truth.min(usable + 1), "pmatrix[{r}][{s}]");
+                if truth <= usable {
+                    exact += 1;
+                } else {
+                    capped += 1;
+                }
             }
         }
+        assert!(exact > 0 && capped > 0, "{exact} exact, {capped} capped");
+        // |S| = L leaves no usable value: 0 for the walk itself, the cap
+        // 1 for the other length-L walk.
+        assert_eq!((pm[0][0], pm[0][6], pm[6][0], pm[6][6]), (0, 1, 1, 0));
         // The pool is capped at the database size.
         assert_eq!(
             build_pmatrix(&TrajectoryArena::from_dataset(&db), e, 99).len(),
-            12
+            13
         );
+    }
+
+    #[test]
+    fn the_pmatrix_cap_keeps_the_last_usable_entry() {
+        // L = 10 and |Q| = 14: once the neighbour N (a 10-point prefix of
+        // Q, EDR 4 = |Q| − L) fills the top-1, the cutoff is 4, and the
+        // far reference R gives EDR(Q, R) = 14. S is a 4-point prefix of
+        // R, so EDR(R, S) = 6 = L − |S| exactly: 14 − 6 − 4 = 4 prunes
+        // it. S2 differs from S in its last point, so EDR(R, S2) = 7 =
+        // L − |S2| + 1 — the cap's own value — and is refined.
+        let line = |base: f64, len: usize| {
+            (0..len)
+                .map(|i| (base + i as f64 * 0.1, base))
+                .collect::<Vec<_>>()
+        };
+        let mut s2 = line(500.0, 4);
+        s2[3] = (900.0, 900.0);
+        let db = Dataset::new(
+            [line(500.0, 10), line(0.0, 10), line(500.0, 4), s2]
+                .iter()
+                .map(|p| Trajectory2::from_xy(p))
+                .collect(),
+        );
+        let query = Trajectory2::from_xy(&line(0.0, 14));
+        let e = eps(0.5);
+        let pm = build_pmatrix(&TrajectoryArena::from_dataset(&db), e, 1);
+        // EDR(R, N) = 10 is above L − |N| = 0 and stored as the cap 1.
+        assert_eq!(pm, vec![vec![0, 1, 6, 7]]);
+        let engine = CombinedKnn::build(&db, e, CombinedConfig::near_triangle_only(1));
+        let r = engine.knn(&query, 1);
+        assert_eq!(r.stats.pruned_by_triangle, 1);
+        assert_eq!(r.stats.edr_computed, 3);
+        let got: Vec<(usize, usize)> = r.neighbors.iter().map(|n| (n.id, n.dist)).collect();
+        assert_eq!(got, vec![(1, 4)]);
+        let truth = SequentialScan::new(&db, e).knn(&query, 1);
+        assert_eq!(r.distances(), truth.distances());
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! `NTR(maxT=M)`), and [`CombinedConfig::histogram_only`] is histogram
 //! pruning (1HE/2HE/2HδE × HSE/HSR, Figs. 9–10). The reference matrix
 //! the triangle filter reads comes from [`build_pmatrix`], built only for
-//! configurations whose order names that filter.
+//! configurations whose order names that filter; its entries are exact
+//! only where the triangle test can use them.
 //!
 //! Every engine implements [`KnnEngine`], returns the same distance
 //! multiset as [`SequentialScan`] (the property tests verify this — the

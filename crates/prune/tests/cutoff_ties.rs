@@ -103,7 +103,7 @@ fn hsr_stops_right_after_the_kth_exact_copy() {
     // Far-away walks first and last, and five exact copies of the query
     // in between: only the copies have a zero histogram bound.
     let mut trajs: Vec<Trajectory2> = (0..10).map(|i| walk(200 + i, 50.0, 50.0, 12)).collect();
-    trajs.extend(std::iter::repeat(query.clone()).take(5));
+    trajs.extend((0..5).map(|_| query.clone()));
     trajs.extend((0..10).map(|i| walk(300 + i, -50.0, 50.0, 8)));
     let db = Dataset::new(trajs);
     let e = eps(0.5);
