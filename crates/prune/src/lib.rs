@@ -38,9 +38,10 @@
 //! the per-candidate (rather than global) Theorem-1 cut-off in
 //! [`QgramKnn`] for variable-length databases, the exact (rather than
 //! greedy) histogram distance, optional early-abandoning EDR,
-//! [`range_query`] / [`cse`] for the range-search and
-//! constant-shift-embedding discussions, and [`LcssKnn`] — the
-//! histogram-pruned LCSS retrieval the paper mentions but omits.
+//! [`CombinedKnn::range`] (Theorem 1's range form, answered by the same
+//! cascade under a fixed radius), [`cse`] for the constant-shift
+//! embedding discussion, and [`LcssKnn`] — the histogram-pruned LCSS
+//! retrieval the paper mentions but omits.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,7 +52,6 @@ mod combined;
 pub mod cse;
 mod lcss_knn;
 mod qgram_knn;
-mod range;
 mod result;
 mod seqscan;
 
@@ -64,7 +64,6 @@ pub use lcss_knn::{
     lcss_score_upper_bound, lcss_sequential_scan, LcssKnn, LcssKnnResult, LcssNeighbor,
 };
 pub use qgram_knn::{QgramKnn, QgramVariant};
-pub use range::range_query;
 pub use result::{
     KnnEngine, KnnResult, Neighbor, QueryStats, StageStats, StageTimings, FLIGHT_EVENT,
 };

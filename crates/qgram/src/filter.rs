@@ -5,10 +5,12 @@
 /// `max(m, n) − q + 1 − k·q` common q-grams.
 ///
 /// Returned as `i64`: when the bound is non-positive the filter cannot
-/// prune anything at this `k`.
+/// prune anything at this `k`. The arithmetic saturates, so a `k` or
+/// `k·q` beyond `i64::MAX` gives a bound that every count meets.
 pub fn min_common_qgrams(m: usize, n: usize, q: usize, k: usize) -> i64 {
     assert!(q > 0, "q-gram size must be positive");
-    m.max(n) as i64 - q as i64 + 1 - (k as i64) * (q as i64)
+    let k = i64::try_from(k).unwrap_or(i64::MAX);
+    (m.max(n) as i64 - q as i64 + 1).saturating_sub(k.saturating_mul(q as i64))
 }
 
 /// The k-NN pruning test of procedure `Qgramk-NN-index` (Figure 3, line
@@ -26,13 +28,6 @@ pub fn passes_count_filter(
     best_so_far: usize,
 ) -> bool {
     v as i64 >= min_common_qgrams(query_len, data_len, q, best_so_far)
-}
-
-/// The range-query form used with Theorem 1 directly: candidates for
-/// "within edit distance `k`" must have at least this many common q-grams;
-/// a candidate with fewer is safely dropped.
-pub fn qgram_count_lower_bound(query_len: usize, data_len: usize, q: usize, k: usize) -> i64 {
-    min_common_qgrams(query_len, data_len, q, k)
 }
 
 #[cfg(test)]
@@ -57,6 +52,19 @@ mod tests {
         // Tight bound: v just reaches it.
         assert!(passes_count_filter(7, 10, 10, 1, 3)); // bound = 10+1-0...
         assert!(!passes_count_filter(6, 10, 10, 1, 3)); // bound = 7
+    }
+
+    #[test]
+    fn huge_k_saturates_and_prunes_nothing() {
+        for k in [usize::MAX, i64::MAX as usize + 1] {
+            for q in [1, 3] {
+                assert!(min_common_qgrams(5000, 80, q, k) < 0, "k {k}, q {q}");
+                assert!(passes_count_filter(0, 5000, 80, q, k), "k {k}, q {q}");
+                assert!(passes_count_filter(0, 1, 1, q, k), "k {k}, q {q}");
+            }
+        }
+        // k·q overflows i64 while k alone does not.
+        assert!(passes_count_filter(0, 10, 10, 3, i64::MAX as usize / 2));
     }
 
     #[test]

@@ -37,5 +37,5 @@ mod join;
 pub use extract::{
     mean_value_qgrams, mean_value_qgrams_1d, qgram_window_iter, qgram_windows, qgrams_match,
 };
-pub use filter::{min_common_qgrams, passes_count_filter, qgram_count_lower_bound};
+pub use filter::{min_common_qgrams, passes_count_filter};
 pub use join::{SortedMeans, SortedMeans1d};

@@ -3,15 +3,14 @@
 //! positions from failed detections and local time shifting from frame
 //! drops. This example shows (a) EDR ranking surviving the corruption
 //! that fools the noise-sensitive baselines, and (b) a range query
-//! ("every track within 12 edits of this one") answered with the
-//! Theorem 1 / Theorem 6 filters.
+//! ("every track within 12 edits of this one") answered by the k-NN
+//! filter cascade under a fixed radius.
 //!
 //! Run with: `cargo run --release --example video_surveillance`
 
 use trajsim::data::{corrupt, seeded_rng, smooth_template, CorruptionConfig};
 use trajsim::distance::{Measure, TrajectoryMeasure};
 use trajsim::prelude::*;
-use trajsim::prune::range_query;
 
 fn main() {
     let mut rng = seeded_rng(99);
@@ -65,7 +64,8 @@ fn main() {
 
     // Range query: all tracks within a fixed edit budget of the query.
     let budget = query.len() / 4;
-    let hits = range_query(&database, eps, &query, budget, 1);
+    let engine = CombinedKnn::build(&database, eps, CombinedConfig::default());
+    let hits = engine.range(&query, budget).neighbors;
     println!("\ntracks within {budget} edit operations of the query:");
     for h in &hits {
         println!("  track {:>2} ({}) at EDR {}", h.id, labels[h.id], h.dist);

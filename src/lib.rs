@@ -52,5 +52,5 @@ pub mod prelude {
         CombinedConfig, CombinedKnn, KnnEngine, KnnResult, PruneOrder, QgramKnn, QueryStats,
         SequentialScan, StageTimings,
     };
-    pub use trajsim_qgram::{mean_value_qgrams, qgram_count_lower_bound};
+    pub use trajsim_qgram::{mean_value_qgrams, min_common_qgrams};
 }

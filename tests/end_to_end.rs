@@ -6,9 +6,7 @@ use trajsim::data;
 use trajsim::distance::Measure;
 use trajsim::eval;
 use trajsim::prelude::*;
-use trajsim::prune::{
-    range_query, CombinedConfig, HistogramVariant, PruneOrder, QgramVariant, ScanMode,
-};
+use trajsim::prune::{CombinedConfig, HistogramVariant, PruneOrder, QgramVariant, ScanMode};
 
 fn small_nhl() -> Dataset<2> {
     data::nhl_like(11, 150).normalize()
@@ -99,7 +97,13 @@ fn range_query_is_consistent_with_knn() {
     let nn = scan.knn(&q, 10);
     // A range query at the 10th distance must return at least those 10.
     let radius = nn.neighbors.last().unwrap().dist;
-    let hits = range_query(&db, eps, &q, radius, 1);
+    let hits = CombinedKnn::build(
+        &db,
+        eps,
+        CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted),
+    )
+    .range(&q, radius)
+    .neighbors;
     assert!(hits.len() >= 10);
     assert!(hits.iter().all(|h| h.dist <= radius));
     // And the nearest hit is the k-NN winner.
