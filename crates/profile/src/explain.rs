@@ -4,69 +4,15 @@
 //! broken down by filter.
 
 use serde_json::{json, Value};
-use trajsim_prune::{QueryStats, StageStats};
+use trajsim_prune::{QueryStats, Stage, StageStats};
 
-/// One pruning filter's row in an [`ExplainReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageReport {
-    /// Filter name (`histogram`, `qgram`, `triangle`).
-    pub name: String,
-    /// Candidates the filter examined (summed over the workload).
-    pub candidates_in: usize,
-    /// Candidates that survived the filter.
-    pub candidates_out: usize,
-    /// Candidates this filter eliminated (`in − out`) — each one is an
-    /// EDR computation the filter saved, since pruned candidates never
-    /// reach refinement.
-    pub pruned_here: usize,
-    /// Fraction of examined candidates that *survived* (`out / in`);
-    /// lower is better. 0 when the filter examined nothing.
-    pub selectivity: f64,
-    /// Wall time spent inside the filter, in nanoseconds.
-    pub filter_ns: u64,
-    /// Filter cost per examined candidate, in nanoseconds.
-    pub ns_per_candidate: f64,
-}
-
-impl StageReport {
-    fn from_stage(name: &str, stage: &StageStats) -> Self {
-        let pruned_here = stage.pruned();
-        let selectivity = if stage.candidates_in == 0 {
-            0.0
-        } else {
-            stage.candidates_out as f64 / stage.candidates_in as f64
-        };
-        let ns_per_candidate = if stage.candidates_in == 0 {
-            0.0
-        } else {
-            stage.filter_ns as f64 / stage.candidates_in as f64
-        };
-        StageReport {
-            name: name.to_string(),
-            candidates_in: stage.candidates_in,
-            candidates_out: stage.candidates_out,
-            pruned_here,
-            selectivity,
-            filter_ns: stage.filter_ns,
-            ns_per_candidate,
-        }
-    }
-
-    /// Whether the filter did anything at all this workload.
-    fn active(&self) -> bool {
-        self.candidates_in > 0 || self.filter_ns > 0 || self.pruned_here > 0
-    }
-
-    fn to_json(&self) -> Value {
-        json!({
-            "name": self.name.as_str(),
-            "candidates_in": self.candidates_in,
-            "candidates_out": self.candidates_out,
-            "pruned": self.pruned_here,
-            "selectivity": self.selectivity,
-            "filter_ns": self.filter_ns,
-            "ns_per_candidate": self.ns_per_candidate,
-        })
+/// A filter's cost per judged candidate, in nanoseconds (0 when it
+/// judged none).
+fn ns_per_candidate(stage: &StageStats) -> f64 {
+    if stage.candidates_in == 0 {
+        0.0
+    } else {
+        stage.filter_ns as f64 / stage.candidates_in as f64
     }
 }
 
@@ -179,8 +125,10 @@ pub struct ExplainReport {
     pub pruning_power: f64,
     /// DP cells materialized by the EDR kernels.
     pub dp_cells: u64,
-    /// Active filter stages, in pipeline order.
-    pub stages: Vec<StageReport>,
+    /// The filter stages that ran, in pipeline order, with their flow
+    /// (summed over the workload). Each pruned candidate is an EDR
+    /// computation its stage saved.
+    pub stages: Vec<(Stage, StageStats)>,
     /// Query-side setup time, in nanoseconds.
     pub setup_ns: u64,
     /// EDR refinement time, in nanoseconds.
@@ -209,14 +157,11 @@ impl ExplainReport {
     /// omitted from [`Self::stages`].
     pub fn from_stats(engine: &str, queries: usize, stats: &QueryStats) -> Self {
         let t = &stats.timings;
-        let stages = [
-            StageReport::from_stage("histogram", &t.histogram),
-            StageReport::from_stage("qgram", &t.qgram),
-            StageReport::from_stage("triangle", &t.triangle),
-        ]
-        .into_iter()
-        .filter(StageReport::active)
-        .collect();
+        let stages = Stage::ALL
+            .into_iter()
+            .map(|s| (s, *t.stage(s)))
+            .filter(|(_, flow)| flow.ran())
+            .collect();
         ExplainReport {
             engine: engine.to_string(),
             queries,
@@ -240,7 +185,21 @@ impl ExplainReport {
 
     /// The report as a JSON object (the CLI's `explain --json` output).
     pub fn to_json(&self) -> Value {
-        let stages: Vec<Value> = self.stages.iter().map(StageReport::to_json).collect();
+        let stages: Vec<Value> = self
+            .stages
+            .iter()
+            .map(|(stage, s)| {
+                json!({
+                    "name": stage.name(),
+                    "candidates_in": s.candidates_in,
+                    "candidates_out": s.candidates_out,
+                    "pruned": s.pruned(),
+                    "selectivity": s.selectivity(),
+                    "filter_ns": s.filter_ns,
+                    "ns_per_candidate": ns_per_candidate(s),
+                })
+            })
+            .collect();
         json!({
             "engine": self.engine.as_str(),
             "queries": self.queries,
@@ -291,15 +250,15 @@ impl ExplainReport {
                 "  {:<10} {:>10} {:>10} {:>10} {:>12} {:>10} {:>10}\n",
                 "stage", "cand_in", "cand_out", "pruned", "selectivity", "ns/cand", "wall"
             ));
-            for s in &self.stages {
+            for (stage, s) in &self.stages {
                 out.push_str(&format!(
                     "  {:<10} {:>10} {:>10} {:>10} {:>11.1}% {:>10.0} {:>10}\n",
-                    s.name,
+                    stage.name(),
                     s.candidates_in,
                     s.candidates_out,
-                    s.pruned_here,
-                    s.selectivity * 100.0,
-                    s.ns_per_candidate,
+                    s.pruned(),
+                    s.selectivity() * 100.0,
+                    ns_per_candidate(s),
                     fmt_ns(s.filter_ns),
                 ));
             }
@@ -408,16 +367,16 @@ mod tests {
         assert!((r.pruning_power - 0.85).abs() < 1e-12);
         // The idle triangle stage is omitted.
         assert_eq!(
-            r.stages.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
+            r.stages.iter().map(|(s, _)| s.name()).collect::<Vec<_>>(),
             ["histogram", "qgram"]
         );
-        let h = &r.stages[0];
+        let h = &r.stages[0].1;
         assert_eq!(
-            (h.candidates_in, h.candidates_out, h.pruned_here),
+            (h.candidates_in, h.candidates_out, h.pruned()),
             (200, 80, 120)
         );
-        assert!((h.selectivity - 0.4).abs() < 1e-12);
-        assert!((h.ns_per_candidate - 200.0).abs() < 1e-12);
+        assert!((h.selectivity() - 0.4).abs() < 1e-12);
+        assert!((ns_per_candidate(h) - 200.0).abs() < 1e-12);
         assert_eq!(r.other_ns, 700_000 - 1_000 - 40_000 - 24_000 - 600_000);
         assert_eq!(r.total_range, (700_000, 700_000));
     }

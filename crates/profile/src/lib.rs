@@ -42,7 +42,7 @@ mod workload;
 pub use chrome::{chrome_trace, write_chrome_trace};
 pub use collapsed::collapsed_stacks;
 pub use collector::{ProfileCollector, ProfileRecord, TeeSink};
-pub use explain::{ArtReport, ExplainReport, LatencyReport, ScratchReport, StageReport};
+pub use explain::{ArtReport, ExplainReport, LatencyReport, ScratchReport};
 pub use recorder::{
     Absorbed, FlightRecord, FlightRecorder, Recording, FLIGHT_FORMAT, FLIGHT_VERSION,
 };
@@ -55,6 +55,6 @@ pub use slo::{
 };
 pub use slow::{SlowQuery, SlowReport};
 pub use workload::{
-    read_stats_input, Attribution, AttributionRow, DiffReport, DiffRow, LatencyDist, StageAgg,
-    WorkloadStats, STATS_FORMAT, STATS_VERSION,
+    read_stats_input, Attribution, AttributionRow, DiffReport, DiffRow, LatencyDist, WorkloadStats,
+    STATS_FORMAT, STATS_VERSION,
 };

@@ -9,6 +9,7 @@
 //! to a stage without re-running the workload.
 
 use crate::recorder::{FlightRecord, Recording};
+use trajsim_prune::PARTS;
 
 /// One ranked slow query: the record plus its derived stage breakdown.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,10 +20,10 @@ pub struct SlowQuery {
     pub engine: String,
     /// Total latency, ns.
     pub total_ns: u64,
-    /// Per-stage share of `total_ns`, fixed order: setup, histogram,
-    /// qgram, triangle, refine, other. Shares sum to 1 (all zeros when
-    /// `total_ns == 0`).
-    pub stage_shares: [(&'static str, f64); 6],
+    /// Share of `total_ns` of each timed part
+    /// ([`trajsim_prune::StageTimings::parts`]), then `other`. Shares sum
+    /// to 1 (all zeros when `total_ns == 0`).
+    pub stage_shares: [(&'static str, f64); PARTS + 1],
     /// How the sampler classified this record (`"tail"`, `"uniform"`),
     /// if the recording was sampled.
     pub sampled: Option<String>,
@@ -30,28 +31,11 @@ pub struct SlowQuery {
 
 impl SlowQuery {
     fn from_record(r: &FlightRecord) -> Self {
-        let total = r.total_ns;
-        let share = |ns: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                ns as f64 / total as f64
-            }
-        };
-        let accounted = r.setup_ns + r.h_ns + r.q_ns + r.t_ns + r.refine_ns;
-        let other = total.saturating_sub(accounted);
         SlowQuery {
             seq: r.seq,
             engine: r.engine.clone(),
-            total_ns: total,
-            stage_shares: [
-                ("setup", share(r.setup_ns)),
-                ("histogram", share(r.h_ns)),
-                ("qgram", share(r.q_ns)),
-                ("triangle", share(r.t_ns)),
-                ("refine", share(r.refine_ns)),
-                ("other", share(other)),
-            ],
+            total_ns: r.timings.total_ns,
+            stage_shares: r.timings.shares(),
             sampled: r.sampled.clone(),
         }
     }
@@ -82,7 +66,7 @@ impl SlowReport {
     /// ranking is deterministic.
     pub fn from_recording(rec: &Recording, top: usize) -> Self {
         let mut order: Vec<&FlightRecord> = rec.records.iter().collect();
-        order.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.seq.cmp(&b.seq)));
+        order.sort_by_key(|r| (std::cmp::Reverse(r.timings.total_ns), r.seq));
         SlowReport {
             rows: order
                 .into_iter()
@@ -142,17 +126,30 @@ impl SlowReport {
 mod tests {
     use super::*;
     use serde_json::json;
+    use trajsim_prune::{StageStats, StageTimings};
 
     fn record(seq: u64, total_ns: u64, refine_ns: u64) -> FlightRecord {
         FlightRecord {
             seq,
             engine: "1HPN".into(),
-            total_ns,
-            refine_ns,
-            setup_ns: 100,
-            h_ns: 300,
-            q_ns: 200,
-            t_ns: 100,
+            timings: StageTimings {
+                setup_ns: 100,
+                histogram: StageStats {
+                    filter_ns: 300,
+                    ..Default::default()
+                },
+                qgram: StageStats {
+                    filter_ns: 200,
+                    ..Default::default()
+                },
+                triangle: StageStats {
+                    filter_ns: 100,
+                    ..Default::default()
+                },
+                refine_ns,
+                total_ns,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }

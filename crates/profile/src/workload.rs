@@ -4,18 +4,24 @@
 //! consumes. Backed by the same bucket layout and quantile estimator as
 //! the live `trajsim-obs` histograms, so `trajsim stats show` and
 //! `--metrics-out` report identical percentiles for identical counts.
+//!
+//! Version 2 stores each stage's flow under the one accounting rule of
+//! recording version 2 (`candidates_in − candidates_out` is the stage's
+//! prune credit); a version-1 store is upgraded on read with
+//! `candidates_in = candidates_out + pruned`, as recordings are.
 
 use crate::recorder::{FlightRecord, Recording};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use trajsim_obs::metrics::quantile_from_buckets;
 use trajsim_obs::DEFAULT_LATENCY_BOUNDS_NS;
+use trajsim_prune::{Stage, StageStats, StageTimings};
 
 /// The `format` field of a stats store file.
 pub const STATS_FORMAT: &str = "trajsim-workload-stats";
 
 /// The stats store format version this build reads and writes.
-pub const STATS_VERSION: u64 = 1;
+pub const STATS_VERSION: u64 = 2;
 
 /// A mergeable latency distribution: bucket counts over the standard
 /// latency bounds plus exact min/max/sum, so merged stores report true
@@ -146,53 +152,28 @@ impl LatencyDist {
     }
 }
 
-/// Aggregated candidate flow through one pruning filter, summed over
-/// every recorded query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageAgg {
-    /// Candidates examined.
-    pub candidates_in: u64,
-    /// Candidates that survived.
-    pub candidates_out: u64,
-    /// Candidates this filter eliminated (prune credit).
-    pub pruned: u64,
-    /// Wall time inside the filter, ns.
-    pub filter_ns: u64,
+/// A stage's flow as a stats-store JSON object.
+fn stage_json(s: &StageStats) -> Value {
+    json!({
+        "candidates_in": s.candidates_in,
+        "candidates_out": s.candidates_out,
+        "pruned": s.pruned(),
+        "filter_ns": s.filter_ns,
+        "selectivity": s.selectivity(),
+    })
 }
 
-impl StageAgg {
-    /// Fraction of examined candidates that survived (`out / in`);
-    /// 0 when the filter examined nothing.
-    pub fn selectivity(&self) -> f64 {
-        if self.candidates_in == 0 {
-            0.0
+/// Parses [`stage_json`]'s object from a store of format `version`.
+fn stage_from_json(v: &Value, version: u64) -> StageStats {
+    let u = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0) as usize;
+    StageStats {
+        candidates_in: if version < 2 {
+            u("candidates_out").saturating_add(u("pruned"))
         } else {
-            self.candidates_out as f64 / self.candidates_in as f64
-        }
-    }
-
-    fn active(&self) -> bool {
-        self.candidates_in > 0 || self.pruned > 0 || self.filter_ns > 0
-    }
-
-    fn to_json(self) -> Value {
-        json!({
-            "candidates_in": self.candidates_in,
-            "candidates_out": self.candidates_out,
-            "pruned": self.pruned,
-            "filter_ns": self.filter_ns,
-            "selectivity": self.selectivity(),
-        })
-    }
-
-    fn from_json(v: &Value) -> Self {
-        let u = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-        StageAgg {
-            candidates_in: u("candidates_in"),
-            candidates_out: u("candidates_out"),
-            pruned: u("pruned"),
-            filter_ns: u("filter_ns"),
-        }
+            u("candidates_in")
+        },
+        candidates_out: u("candidates_out"),
+        filter_ns: u("filter_ns") as u64,
     }
 }
 
@@ -223,8 +204,9 @@ pub struct WorkloadStats {
     /// Query-side setup time summed over queries, ns (weighted) — one
     /// input to the per-stage time-share attribution.
     pub setup_ns: u64,
-    /// Per-filter candidate flow: `histogram`, `qgram`, `triangle`.
-    pub stages: BTreeMap<String, StageAgg>,
+    /// Each [`Stage`]'s candidate flow and wall time, summed over
+    /// queries, indexed by `Stage as usize`.
+    pub stages: [StageStats; Stage::ALL.len()],
     /// Distribution of per-query end-to-end wall time.
     pub total_latency: LatencyDist,
     /// Distribution of per-query refine time.
@@ -272,32 +254,17 @@ impl WorkloadStats {
         self.edr_computed += flow(r.edr_computed, "edr_computed");
         self.pruned += flow(r.pruned, "pruned");
         self.dp_cells += flow(r.dp_cells, "dp_cells");
-        self.setup_ns += flow(r.setup_ns, "setup_ns");
-        for (name, own, keys) in [
-            (
-                "histogram",
-                (r.h_in, r.h_out, r.h_ns, r.pruned_h),
-                ("h_in", "h_out", "h_ns", "pruned_h"),
-            ),
-            (
-                "qgram",
-                (r.q_in, r.q_out, r.q_ns, r.pruned_q),
-                ("q_in", "q_out", "q_ns", "pruned_q"),
-            ),
-            (
-                "triangle",
-                (r.t_in, r.t_out, r.t_ns, r.pruned_t),
-                ("t_in", "t_out", "t_ns", "pruned_t"),
-            ),
-        ] {
-            let s = self.stages.entry(name.to_string()).or_default();
-            s.candidates_in += flow(own.0, keys.0);
-            s.candidates_out += flow(own.1, keys.1);
-            s.filter_ns += flow(own.2, keys.2);
-            s.pruned += flow(own.3, keys.3);
+        let t = &r.timings;
+        self.setup_ns += flow(t.setup_ns, "setup_ns");
+        for stage in Stage::ALL {
+            let (keys, own) = (stage.keys(), t.stage(stage));
+            let s = &mut self.stages[stage as usize];
+            s.candidates_in += flow(own.candidates_in as u64, keys.candidates_in) as usize;
+            s.candidates_out += flow(own.candidates_out as u64, keys.candidates_out) as usize;
+            s.filter_ns += flow(own.filter_ns, keys.filter_ns);
         }
-        self.total_latency.record_weighted(r.total_ns, w);
-        self.refine_latency.record_weighted(r.refine_ns, w);
+        self.total_latency.record_weighted(t.total_ns, w);
+        self.refine_latency.record_weighted(t.refine_ns, w);
     }
 
     /// Merges another store into this one (the `stats merge` operation).
@@ -314,12 +281,8 @@ impl WorkloadStats {
         self.pruned += other.pruned;
         self.dp_cells += other.dp_cells;
         self.setup_ns += other.setup_ns;
-        for (name, s) in &other.stages {
-            let mine = self.stages.entry(name.clone()).or_default();
-            mine.candidates_in += s.candidates_in;
-            mine.candidates_out += s.candidates_out;
-            mine.pruned += s.pruned;
-            mine.filter_ns += s.filter_ns;
+        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
+            mine.accumulate(theirs);
         }
         self.total_latency.merge(&other.total_latency)?;
         self.refine_latency.merge(&other.refine_latency)?;
@@ -342,8 +305,11 @@ impl WorkloadStats {
             engines.insert(k.clone(), Value::from(*v));
         }
         let mut stages = serde_json::Map::new();
-        for (k, v) in &self.stages {
-            stages.insert(k.clone(), v.to_json());
+        for stage in Stage::ALL {
+            stages.insert(
+                stage.name().to_string(),
+                stage_json(&self.stages[stage as usize]),
+            );
         }
         json!({
             "format": STATS_FORMAT,
@@ -388,12 +354,11 @@ impl WorkloadStats {
                 engines.insert(k.clone(), n.as_u64().unwrap_or(0));
             }
         }
-        let mut stages = BTreeMap::new();
-        if let Some(obj) = v.get("stages").and_then(Value::as_object) {
-            for (k, s) in obj.iter() {
-                stages.insert(k.clone(), StageAgg::from_json(s));
-            }
-        }
+        let stages = Stage::ALL.map(|stage| {
+            v.get("stages")
+                .and_then(|s| s.get(stage.name()))
+                .map_or_else(StageStats::default, |s| stage_from_json(s, version))
+        });
         Ok(WorkloadStats {
             runs: u("runs"),
             queries: u("queries"),
@@ -422,34 +387,22 @@ impl WorkloadStats {
         })
     }
 
-    /// Fraction of aggregate wall time in each stage, in a fixed order:
-    /// `setup`, `histogram`, `qgram`, `triangle`, `refine`, `other`
-    /// (the unattributed remainder). All zeros when nothing was
-    /// recorded. Shares are ratios of weighted sums, so a tail-sampled
-    /// store attributes time like its full-population counterpart.
-    pub fn time_shares(&self) -> Vec<(&'static str, f64)> {
-        let total = self.total_latency.sum_ns;
-        let stage = |name: &str| self.stages.get(name).map(|s| s.filter_ns).unwrap_or(0);
-        let attributed = self.setup_ns
-            + stage("histogram")
-            + stage("qgram")
-            + stage("triangle")
-            + self.refine_latency.sum_ns;
-        let share = |ns: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                ns as f64 / total as f64
-            }
+    /// The aggregate's timed parts and stage flows as a [`StageTimings`]:
+    /// setup, stage and refine sums, with the total latency sum as
+    /// `total_ns`. Its [`StageTimings::shares`] are ratios of weighted
+    /// sums, so a tail-sampled store attributes time like its
+    /// full-population counterpart.
+    pub fn timings(&self) -> StageTimings {
+        let mut t = StageTimings {
+            setup_ns: self.setup_ns,
+            refine_ns: self.refine_latency.sum_ns,
+            total_ns: self.total_latency.sum_ns,
+            ..StageTimings::default()
         };
-        vec![
-            ("setup", share(self.setup_ns)),
-            ("histogram", share(stage("histogram"))),
-            ("qgram", share(stage("qgram"))),
-            ("triangle", share(stage("triangle"))),
-            ("refine", share(self.refine_latency.sum_ns)),
-            ("other", share(total.saturating_sub(attributed))),
-        ]
+        for stage in Stage::ALL {
+            *t.stage_mut(stage) = self.stages[stage as usize];
+        }
+        t
     }
 
     /// Renders the human-readable `stats show` table.
@@ -483,8 +436,11 @@ impl WorkloadStats {
             self.database_size,
             self.dp_cells
         ));
-        let active: Vec<(&String, &StageAgg)> =
-            self.stages.iter().filter(|(_, s)| s.active()).collect();
+        let active: Vec<(&str, &StageStats)> = Stage::ALL
+            .into_iter()
+            .map(|stage| (stage.name(), &self.stages[stage as usize]))
+            .filter(|(_, s)| s.ran())
+            .collect();
         if !active.is_empty() {
             out.push_str(&format!(
                 "  {:<10} {:>12} {:>12} {:>12} {:>12}\n",
@@ -496,7 +452,7 @@ impl WorkloadStats {
                     name,
                     s.candidates_in,
                     s.candidates_out,
-                    s.pruned,
+                    s.pruned(),
                     s.selectivity() * 100.0
                 ));
             }
@@ -582,12 +538,10 @@ impl DiffReport {
         exact("edr_computed", a.edr_computed as f64, b.edr_computed as f64);
         exact("pruned", a.pruned as f64, b.pruned as f64);
         exact("pruning power", a.pruning_power(), b.pruning_power());
-        let names: std::collections::BTreeSet<&String> =
-            a.stages.keys().chain(b.stages.keys()).collect();
-        for name in names {
-            let sa = a.stages.get(name).copied().unwrap_or_default();
-            let sb = b.stages.get(name).copied().unwrap_or_default();
-            if !sa.active() && !sb.active() {
+        for stage in Stage::ALL {
+            let name = stage.name();
+            let (sa, sb) = (a.stages[stage as usize], b.stages[stage as usize]);
+            if !sa.ran() && !sb.ran() {
                 continue;
             }
             exact(
@@ -701,8 +655,7 @@ pub struct Attribution {
 impl Attribution {
     /// Compares the per-stage time shares of `a` and `b`.
     pub fn compare(a: &WorkloadStats, b: &WorkloadStats) -> Self {
-        let sa = a.time_shares();
-        let sb = b.time_shares();
+        let (sa, sb) = (a.timings().shares(), b.timings().shares());
         let mut rows: Vec<AttributionRow> = sa
             .iter()
             .zip(sb.iter())
@@ -792,6 +745,14 @@ mod tests {
     use super::*;
     use crate::recorder::Absorbed;
 
+    fn flow(candidates_in: usize, candidates_out: usize, filter_ns: u64) -> StageStats {
+        StageStats {
+            candidates_in,
+            candidates_out,
+            filter_ns,
+        }
+    }
+
     fn sample_record(seq: u64, total_ns: u64) -> FlightRecord {
         FlightRecord {
             seq,
@@ -803,21 +764,15 @@ mod tests {
             edr_computed: 20,
             pruned: 80,
             dp_cells: 5_000,
-            setup_ns: 50,
-            h_in: 100,
-            h_out: 40,
-            h_ns: 400,
-            pruned_h: 60,
-            q_in: 40,
-            q_out: 25,
-            q_ns: 200,
-            pruned_q: 15,
-            t_in: 25,
-            t_out: 20,
-            t_ns: 100,
-            pruned_t: 5,
-            refine_ns: total_ns / 2,
-            total_ns,
+            timings: StageTimings {
+                setup_ns: 50,
+                histogram: flow(100, 40, 400),
+                qgram: flow(40, 25, 200),
+                triangle: flow(25, 20, 100),
+                refine_ns: total_ns / 2,
+                total_ns,
+                ..Default::default()
+            },
             scratch_reuses: seq,
             neighbors: vec![(1, 0), (2, 3)],
             weight: 1,
@@ -833,6 +788,15 @@ mod tests {
         for r in records {
             a.queries += 1;
             a.batched += u64::from(r.batch.is_some());
+            let stage_fields = Stage::ALL.into_iter().flat_map(|stage| {
+                let (keys, s) = (stage.keys(), r.timings.stage(stage));
+                [
+                    (keys.candidates_in, s.candidates_in as u64),
+                    (keys.candidates_out, s.candidates_out as u64),
+                    (keys.filter_ns, s.filter_ns),
+                    (keys.pruned, s.pruned() as u64),
+                ]
+            });
             for (k, v) in [
                 ("query_len", r.query_len),
                 ("k", r.k),
@@ -840,23 +804,14 @@ mod tests {
                 ("edr_computed", r.edr_computed),
                 ("pruned", r.pruned),
                 ("dp_cells", r.dp_cells),
-                ("setup_ns", r.setup_ns),
-                ("h_in", r.h_in),
-                ("h_out", r.h_out),
-                ("h_ns", r.h_ns),
-                ("pruned_h", r.pruned_h),
-                ("q_in", r.q_in),
-                ("q_out", r.q_out),
-                ("q_ns", r.q_ns),
-                ("pruned_q", r.pruned_q),
-                ("t_in", r.t_in),
-                ("t_out", r.t_out),
-                ("t_ns", r.t_ns),
-                ("pruned_t", r.pruned_t),
-                ("refine_ns", r.refine_ns),
-                ("total_ns", r.total_ns),
+                ("setup_ns", r.timings.setup_ns),
+                ("refine_ns", r.timings.refine_ns),
+                ("total_ns", r.timings.total_ns),
                 ("scratch_reuses", r.scratch_reuses),
-            ] {
+            ]
+            .into_iter()
+            .chain(stage_fields)
+            {
                 *a.sums.entry(k.to_string()).or_insert(0) += v;
             }
         }
@@ -883,10 +838,10 @@ mod tests {
         assert_eq!(w.edr_computed, 200);
         assert_eq!(w.pruned, 800);
         assert!((w.pruning_power() - 0.8).abs() < 1e-12);
-        let h = &w.stages["histogram"];
+        let h = &w.stages[Stage::Histogram as usize];
         assert_eq!(h.candidates_in, 1_000);
         assert_eq!(h.candidates_out, 400);
-        assert_eq!(h.pruned, 600);
+        assert_eq!(h.pruned(), 600);
         assert!((h.selectivity() - 0.4).abs() < 1e-12);
         assert_eq!(w.total_latency.count, 10);
         assert_eq!(w.total_latency.min_ns, 10_000);
@@ -946,8 +901,8 @@ mod tests {
         let a = WorkloadStats::from_recording(&sample_recording(8, 10_000));
         let mut shifted = sample_recording(8, 10_000);
         for r in &mut shifted.records {
-            r.h_out += 20; // selectivity changes
-            r.total_ns *= 40; // latency blows past any bucket tolerance
+            r.timings.histogram.candidates_out += 20; // selectivity changes
+            r.timings.total_ns *= 40; // latency blows past any bucket tolerance
         }
         let b = WorkloadStats::from_recording(&shifted);
         let d = DiffReport::compare(&a, &b, 0.5);
@@ -1012,8 +967,8 @@ mod tests {
             r.edr_computed = 10 + 17 * i;
             r.pruned = 90 + 3 * i * i;
             r.database_size = r.edr_computed + r.pruned;
-            r.h_out = 30 + 11 * i;
-            r.h_ns = 100 + 333 * i;
+            r.timings.histogram.candidates_out = 30 + 11 * i as usize;
+            r.timings.histogram.filter_ns = 100 + 333 * i;
             r.dp_cells = 1_000 * (i + 1);
         }
         let mut sampled = Recording {
@@ -1097,9 +1052,9 @@ mod tests {
         for r in &mut slowed.records {
             // Inject a histogram-stage slowdown: its time grows by 50×
             // and the total grows by the same absolute amount.
-            let extra = r.h_ns * 49;
-            r.h_ns += extra;
-            r.total_ns += extra;
+            let extra = r.timings.histogram.filter_ns * 49;
+            r.timings.histogram.filter_ns += extra;
+            r.timings.total_ns += extra;
         }
         let b = WorkloadStats::from_recording(&slowed);
         let attr = Attribution::compare(&a, &b);
@@ -1116,7 +1071,7 @@ mod tests {
     #[test]
     fn time_shares_cover_the_pipeline_and_sum_to_one() {
         let w = WorkloadStats::from_recording(&sample_recording(6, 10_000));
-        let shares = w.time_shares();
+        let shares = w.timings().shares();
         let names: Vec<&str> = shares.iter().map(|&(n, _)| n).collect();
         assert_eq!(
             names,
@@ -1126,7 +1081,7 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9, "shares sum to {total}");
         // Zero-query stats: all shares zero, no NaN.
         let empty = WorkloadStats::from_recording(&sample_recording(0, 0));
-        assert!(empty.time_shares().iter().all(|&(_, s)| s == 0.0));
+        assert!(empty.timings().shares().iter().all(|&(_, s)| s == 0.0));
     }
 
     #[test]

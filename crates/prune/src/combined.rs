@@ -5,6 +5,7 @@
 use crate::candidates::{Candidate, CandidateBatch, CandidateSource};
 use crate::result::{
     elapsed_ns, finalize_query, KnnEngine, KnnResult, Neighbor, QueryStats, Refine, ResultSet,
+    Stage,
 };
 use std::sync::Mutex;
 use std::time::Instant;
@@ -44,23 +45,13 @@ pub enum ScanMode {
     Sorted,
 }
 
-/// One of the three filters, used to spell an application order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Filter {
-    /// Trajectory-histogram lower bound (§4.3).
-    Histogram,
-    /// Mean-value q-gram count filter (§4.1), merge-join variant.
-    Qgram,
-    /// Near triangle inequality (§4.2).
-    NearTriangle,
-}
-
 /// The filters the cascade applies, in application order. The paper
 /// tests all six orders of the three filters (Figure 11); `HQN` —
 /// histogram, then q-grams, then near triangle — is the winner,
 /// "applying a pruning method with more pruning power and less expensive
 /// computation cost first". `H` and `N` are the single-filter engines of
-/// §4.3 and §4.2.
+/// §4.3 and §4.2; `Q`, the q-gram filter alone, is the one order that
+/// needs neither histograms nor a pmatrix, so it prunes at ε = 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum PruneOrder {
@@ -80,6 +71,8 @@ pub enum PruneOrder {
     H,
     /// Near-triangle pruning alone (§4.2, Table 3).
     N,
+    /// Q-gram count pruning alone (§4.1).
+    Q,
 }
 
 impl PruneOrder {
@@ -94,23 +87,24 @@ impl PruneOrder {
     ];
 
     /// The filters in application order.
-    pub fn filters(self) -> &'static [Filter] {
-        use Filter::*;
+    pub fn filters(self) -> &'static [Stage] {
+        use Stage::*;
         match self {
-            PruneOrder::HQN => &[Histogram, Qgram, NearTriangle],
-            PruneOrder::HNQ => &[Histogram, NearTriangle, Qgram],
-            PruneOrder::QHN => &[Qgram, Histogram, NearTriangle],
-            PruneOrder::QNH => &[Qgram, NearTriangle, Histogram],
-            PruneOrder::NHQ => &[NearTriangle, Histogram, Qgram],
-            PruneOrder::NQH => &[NearTriangle, Qgram, Histogram],
+            PruneOrder::HQN => &[Histogram, Qgram, Triangle],
+            PruneOrder::HNQ => &[Histogram, Triangle, Qgram],
+            PruneOrder::QHN => &[Qgram, Histogram, Triangle],
+            PruneOrder::QNH => &[Qgram, Triangle, Histogram],
+            PruneOrder::NHQ => &[Triangle, Histogram, Qgram],
+            PruneOrder::NQH => &[Triangle, Qgram, Histogram],
             PruneOrder::H => &[Histogram],
-            PruneOrder::N => &[NearTriangle],
+            PruneOrder::N => &[Triangle],
+            PruneOrder::Q => &[Qgram],
         }
     }
 
-    /// True iff the order applies `filter`.
-    pub(crate) fn names(self, filter: Filter) -> bool {
-        self.filters().contains(&filter)
+    /// True iff the order applies `stage`.
+    pub(crate) fn names(self, stage: Stage) -> bool {
+        self.filters().contains(&stage)
     }
 
     /// The paper's label style: e.g. `2HPN` for histogram → q-gram →
@@ -123,9 +117,9 @@ impl PruneOrder {
         self.filters()
             .iter()
             .map(|f| match f {
-                Filter::Histogram => h,
-                Filter::Qgram => "P",
-                Filter::NearTriangle => "N",
+                Stage::Histogram => h,
+                Stage::Qgram => "P",
+                Stage::Triangle => "N",
             })
             .collect()
     }
@@ -191,13 +185,13 @@ impl CombinedConfig {
 
     /// True iff the engine embeds histograms, which need a positive ε.
     pub fn builds_histograms(&self) -> bool {
-        self.order.names(Filter::Histogram) || self.scan == ScanMode::Sorted
+        self.order.names(Stage::Histogram) || self.scan == ScanMode::Sorted
     }
 
     /// The reference pool size over `n` trajectories: `max_triangle`
     /// capped at `n`, or 0 when the order has no triangle filter.
     fn references(&self, n: usize) -> usize {
-        if self.order.names(Filter::NearTriangle) {
+        if self.order.names(Stage::Triangle) {
             self.max_triangle.min(n)
         } else {
             0
@@ -414,7 +408,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     ///
     /// As [`Self::with_pmatrix`].
     pub fn build(dataset: &'a Dataset<D>, eps: MatchThreshold, config: CombinedConfig) -> Self {
-        if !config.order.names(Filter::NearTriangle) {
+        if !config.order.names(Stage::Triangle) {
             return Self::with_pmatrix(dataset, eps, config, Vec::new());
         }
         let arena = TrajectoryArena::from_dataset(dataset);
@@ -479,7 +473,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                 ),
             }
         });
-        let qgrams = config.order.names(Filter::Qgram).then(|| {
+        let qgrams = config.order.names(Stage::Qgram).then(|| {
             assert!(config.qgram_q > 0, "q-gram size must be positive");
             dataset
                 .iter()
@@ -695,11 +689,11 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         //
         // Stage accounting: candidate generation (quick bounds or index
         // probes, plus the sort) is charged to the histogram filter's
-        // time; each stage's candidates_in/out count its per-candidate
-        // evaluations, so quick-bound prunes — and candidates the index
-        // settled exactly without a refine — appear in
-        // `pruned_by_histogram` but not in the histogram stage's
-        // candidate flow.
+        // time. A candidate a stage dismisses enters that stage and does
+        // not leave it: quick-bound prunes, the HSR break-out remainder
+        // and the index's exact and untouched settlements all enter the
+        // histogram stage, and `finish_query` reads every prune credit
+        // off the stage flows.
         let t_filter = Instant::now();
         let generated = self.generate_candidates(query.len(), qh.as_ref(), q_means.as_ref());
         if qh.is_some() {
@@ -723,17 +717,17 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                     if sorted {
                         // Sorted scan break-out: every remaining lower
                         // bound is at least this one.
-                        stats.pruned_by_histogram += generated.candidates.len() - rank;
+                        stats.timings.histogram.candidates_in += generated.candidates.len() - rank;
                         break;
                     }
-                    stats.pruned_by_histogram += 1;
+                    stats.timings.histogram.candidates_in += 1;
                     continue;
                 }
                 if cand.exact {
                     // The index proved `lower_bound` *is* the EDR: no
                     // cascade, no refine — offer it outright (it also
                     // makes a sound triangle reference).
-                    stats.pruned_by_histogram += 1;
+                    stats.timings.histogram.candidates_in += 1;
                     if self.joins_pool(id, references.len()) {
                         references.push((id, cand.lower_bound));
                     }
@@ -741,29 +735,19 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                     continue;
                 }
                 if cutoff != usize::MAX {
-                    for filter in self.config.order.filters() {
+                    for &filter in self.config.order.filters() {
                         // With no reference pool the triangle test can
                         // never prune: skip it, as a stage with no work.
-                        if *filter == Filter::NearTriangle && self.pmatrix.is_empty() {
+                        if filter == Stage::Triangle && self.pmatrix.is_empty() {
                             continue;
                         }
-                        let (stage, pruned_by) = match filter {
-                            Filter::Histogram => {
-                                (&mut stats.timings.histogram, &mut stats.pruned_by_histogram)
-                            }
-                            Filter::Qgram => (&mut stats.timings.qgram, &mut stats.pruned_by_qgram),
-                            Filter::NearTriangle => {
-                                (&mut stats.timings.triangle, &mut stats.pruned_by_triangle)
-                            }
-                        };
-                        stage.candidates_in += 1;
                         let t = Instant::now();
                         let prune = match filter {
-                            Filter::Histogram => {
+                            Stage::Histogram => {
                                 let qh = qh.as_ref().expect("histogram filter embeds the query");
                                 self.histogram_exact(qh, id) >= cutoff
                             }
-                            Filter::Qgram => {
+                            Stage::Qgram => {
                                 // The index probe's count upper bound
                                 // replaces the merge join when present.
                                 let v = cand
@@ -779,13 +763,12 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                                         cutoff - 1,
                                     )
                             }
-                            Filter::NearTriangle => {
-                                self.triangle_prunes(&references, id, s_len, cutoff)
-                            }
+                            Stage::Triangle => self.triangle_prunes(&references, id, s_len, cutoff),
                         };
+                        let stage = stats.timings.stage_mut(filter);
                         stage.filter_ns += elapsed_ns(t);
+                        stage.candidates_in += 1;
                         if prune {
-                            *pruned_by += 1;
                             continue 'candidates;
                         }
                         stage.candidates_out += 1;
@@ -821,11 +804,11 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                 }
                 let d = query.len().max(self.arena.len_of(id));
                 if d >= result.cutoff() {
-                    stats.pruned_by_histogram += remaining;
+                    stats.timings.histogram.candidates_in += remaining;
                     break;
                 }
                 remaining -= 1;
-                stats.pruned_by_histogram += 1;
+                stats.timings.histogram.candidates_in += 1;
                 result.offer(id, d);
             }
         }

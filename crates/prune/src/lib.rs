@@ -65,6 +65,7 @@ pub use lcss_knn::{
 };
 pub use qgram_knn::{QgramKnn, QgramVariant};
 pub use result::{
-    KnnEngine, KnnResult, Neighbor, QueryStats, StageStats, StageTimings, FLIGHT_EVENT,
+    KnnEngine, KnnResult, Neighbor, QueryStats, Stage, StageKeys, StageStats, StageTimings,
+    FLIGHT_EVENT, PARTS,
 };
 pub use seqscan::SequentialScan;

@@ -278,7 +278,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
                     k,
                     Some(batch_id),
                     &neighbors,
-                    &stats,
+                    &mut stats,
                 );
                 KnnResult { neighbors, stats }
             })

@@ -13,14 +13,17 @@
 //! full DP on every refine under the earlier test, and bounded refines
 //! may only fill fewer cells. On a mismatch the test prints the measured
 //! table in the same form, so a deliberate funnel change can be
-//! re-pinned (keeping the last column).
+//! re-pinned (keeping the last column). Every query must also conserve
+//! its funnel: each id is dismissed by one stage, whose flow counts it
+//! (`candidates_in − candidates_out` is the stage's `pruned_by_*`), or
+//! refined.
 
 use trajsim_core::{max_std_dev, Dataset, MatchThreshold, Trajectory2};
 use trajsim_data::nhl_like;
 use trajsim_prune::cse::{pairwise_edr_matrix, CseKnn};
 use trajsim_prune::{
     CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, KnnResult, PruneOrder, QgramKnn,
-    QgramVariant, ScanMode,
+    QgramVariant, ScanMode, Stage,
 };
 
 const DATABASE: usize = 120;
@@ -113,6 +116,19 @@ fn funnel<E: KnnEngine<2>>(engine: &E, queries: &[Trajectory2]) -> Funnel {
     };
     for q in queries {
         let KnnResult { neighbors, stats } = engine.knn(q, K);
+        let flows = Stage::ALL.map(|s| stats.timings.stage(s).pruned());
+        assert_eq!(
+            flows,
+            Stage::ALL.map(|s| stats.pruned_by(s)),
+            "{}",
+            engine.name()
+        );
+        assert_eq!(
+            flows.iter().sum::<usize>() + stats.edr_computed,
+            stats.database_size,
+            "{}: the funnel lost or double-counted a candidate",
+            engine.name()
+        );
         f.pruned_h += stats.pruned_by_histogram;
         f.pruned_q += stats.pruned_by_qgram;
         f.pruned_t += stats.pruned_by_triangle;

@@ -58,12 +58,12 @@ fn main() {
             t.len()
         );
     }
+    let credit =
+        trajsim::prune::Stage::ALL.map(|s| format!("{} {}", fast.stats.pruned_by(s), s.name()));
     println!(
         "\nsequential scan: {scan_time:.1?}; 1HPN: {fast_time:.1?} \
-         (pruned {:.0}% of the database: {} histogram, {} q-gram, {} near-triangle)",
+         (pruned {:.0}% of the database: {})",
         fast.stats.pruning_power() * 100.0,
-        fast.stats.pruned_by_histogram,
-        fast.stats.pruned_by_qgram,
-        fast.stats.pruned_by_triangle,
+        credit.join(", "),
     );
 }
