@@ -148,9 +148,10 @@ pub fn edr_within_counted_with<const D: usize, A: CoordSeq<D>, B: CoordSeq<D>>(
 }
 
 /// Bounded-distance dispatch. `ranks` yields the rank masks of `query`
-/// (a [`QueryContext`](crate::QueryContext)'s, built on first use); it is
-/// called only when a DP runs, and its `None` means compare-built match
-/// words.
+/// (a [`QueryContext`](crate::QueryContext)'s, built on first use) that
+/// build the band's match words; it is called only when a DP runs, and
+/// its `None` means compare-built words with the shorter sequence as the
+/// pattern.
 pub(crate) fn within_counted<'m, const D: usize, A: CoordSeq<D>, B: CoordSeq<D>>(
     query: A,
     candidate: B,
@@ -183,13 +184,8 @@ pub(crate) fn within_counted<'m, const D: usize, A: CoordSeq<D>, B: CoordSeq<D>>
             kernel::within_naive_counted(candidate, query, eps, bound, ws)
         };
     }
-    // The query is the pattern unless that would take more lanes than
-    // the full DP, whose pattern is the shorter side.
-    let full_words = m.min(n).div_ceil(64) * m.max(n);
-    if n * kernel::band_words(m, bound) <= full_words {
-        if let Some(ranks) = ranks() {
-            return ranks.within_counted(candidate, eps, bound, ws);
-        }
+    if let Some(ranks) = ranks() {
+        return ranks.within_counted(candidate, eps, bound, ws);
     }
     if m >= n {
         kernel::within_compare_counted(query, candidate, eps, bound, ws)

@@ -43,20 +43,27 @@
 //! the sliding band. Its match words come from one of two builders:
 //! through a [`QueryContext`](crate::QueryContext), the query is the
 //! pattern and each candidate point's word is cut from the query's
-//! per-dimension rank masks (`RankMasks`: two bucket-table lookups per
-//! dimension, each finished by a few exact compares, and a window
-//! extract); the free functions, and a context whose query is non-finite
-//! or longer than `RANK_MASK_MAX_LEN` (1024), compare the band's cells
-//! directly, with the shorter sequence as the pattern. The `naive-kernel`
-//! feature reroutes both entry points to the naive kernel so any result
-//! can be reproduced on the reference path.
+//! per-dimension rank masks (`RankMasks`: two lookups per dimension in
+//! a table of eight buckets per query point, each finished by a few
+//! exact compares, and a window extract); the free functions, and a
+//! context whose query is non-finite or longer than `RANK_MASK_MAX_LEN`
+//! (1024), compare the band's cells directly, with the shorter sequence
+//! as the pattern. A query refine
+//! ([`QueryContext::edr_within_counted`](crate::QueryContext::edr_within_counted))
+//! also compares when the query-as-pattern band would count more lanes
+//! than the full DP, so its `dp_cells` never exceed the full kernel's;
+//! the offline matrices, which count no lanes, take the masks for every
+//! entry through
+//! [`QueryContext::edr_banded`](crate::QueryContext::edr_banded). The
+//! `naive-kernel` feature reroutes both entry points to the naive kernel
+//! so any result can be reproduced on the reference path.
 //!
 //! Full distances take one of two routes. The exact offline EDR matrices
 //! — the CSE pairwise matrix and the evaluation `DistanceMatrix` — call
-//! [`QueryContext::edr_banded`](crate::QueryContext::edr_banded):
-//! the sliding band with an unbounded bound, which never abandons and
-//! so returns the exact distance, with the row trajectory's rank masks
-//! building the match words.
+//! `edr_banded` with an unbounded bound: the sliding band never abandons
+//! then, so it returns the exact distance and reads the target diagonal
+//! in its last column only. The near-triangle pmatrix calls it under
+//! `L − |S|` (see `build_pmatrix` in `trajsim-prune`).
 //! [`QueryContext::edr`](crate::QueryContext::edr) and the free `edr`
 //! stay on the bit-parallel kernel's compare-built words: the plain
 //! `SequentialScan` (and the first-k and reference-pool refines of the
@@ -183,7 +190,8 @@ pub(crate) fn within_naive_counted<const D: usize, O: CoordSeq<D>, I: CoordSeq<D
 /// to it, and the kernel abandons as soon as it passes `bound`. A bound
 /// of at least `max(text_len, pattern_len)` cannot be passed, so such a
 /// call returns the exact distance: it is the full DP on a window of the
-/// whole pattern.
+/// whole pattern, and it reads the target diagonal in the last column
+/// only.
 ///
 /// `fill(j, p0, eq)` writes text element `j`'s ε-match word(s) against
 /// pattern positions `p0..p0 + 64·eq.len()` (bit `k` ↔ position
@@ -211,6 +219,14 @@ pub(crate) fn within_band_counted(
     // D[p0][j], the row just above the window (row 0 is the boundary).
     let mut above = 0usize;
     let mut d = m.abs_diff(n);
+    // The target diagonal reaches the pattern at column m - n; above it,
+    // its cells extend the boundary with the constant |m - n|. A call
+    // that can never abandon reads it in the last column only.
+    let first_read = if bound >= m.max(n) {
+        m - 1
+    } else {
+        m.saturating_sub(n)
+    };
     for j in 0..m {
         // Whether the window slides or not, the row above it gains one
         // from the left: the boundary row, or a cell off the band.
@@ -242,21 +258,14 @@ pub(crate) fn within_band_counted(
             let ph = mv | !(xh | pv);
             let mh = pv & xh;
             let hout: i32 = (((ph >> 63) & 1) as i32) - (((mh >> 63) & 1) as i32);
-            let mut ph = ph << 1;
-            let mut mh = mh << 1;
-            match hin {
-                1 => ph |= 1,
-                -1 => mh |= 1,
-                _ => {}
-            }
+            let ph = (ph << 1) | u64::from(hin > 0);
+            let mh = (mh << 1) | u64::from(hin < 0);
             vp[w] = mh | !(xv | ph);
             vn[w] = ph & xv;
             hin = hout;
         }
-        // The target diagonal reaches the pattern at column m - n; above
-        // it, its cells extend the boundary with the constant |m - n|.
-        if let Some(p) = (j + n).checked_sub(m) {
-            let k = p - p0;
+        if j >= first_read {
+            let k = j + n - m - p0;
             let (last, bit) = (k / 64, k % 64);
             let (mut up, mut down) = (0, 0);
             for w in 0..last {
@@ -315,7 +324,7 @@ pub(crate) fn within_compare_counted<const D: usize, T: CoordSeq<D>, P: CoordSeq
 pub(crate) const RANK_MASK_MAX_LEN: usize = 1024;
 
 /// Lookup-table buckets per query point in [`RankMasks`].
-const BUCKETS_PER_POINT: usize = 2;
+const BUCKETS_PER_POINT: usize = 8;
 
 // Table entries are ranks in `0..=len`.
 const _: () = assert!(RANK_MASK_MAX_LEN <= u16::MAX as usize);
@@ -332,12 +341,12 @@ const _: () = assert!(RANK_MASK_MAX_LEN <= u16::MAX as usize);
 /// NaN candidates included (a NaN makes both prefixes empty).
 ///
 /// The two prefix lengths come from a bucket table per dimension:
-/// `2·len` equal-width buckets over `[min, max]` of the query's
-/// coordinates, each holding the rank of its first coordinate. A lookup
-/// starts at the entry of the bucket of `v − ε` (or `v + ε`) and steps
-/// one sorted coordinate at a time until the exact predicate flips, so
-/// the answer never depends on the table's arithmetic — only the number
-/// of steps does.
+/// `BUCKETS_PER_POINT·len` equal-width buckets over `[min, max]` of the
+/// query's coordinates, each holding the rank of its first coordinate.
+/// A lookup starts at the entry of the bucket of `v − ε` (or `v + ε`)
+/// and steps one sorted coordinate at a time until the exact predicate
+/// flips, so the answer never depends on the table's arithmetic — only
+/// the number of steps does.
 #[derive(Debug, Clone)]
 pub(crate) struct RankMasks<const D: usize> {
     len: usize,

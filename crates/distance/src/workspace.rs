@@ -22,7 +22,7 @@
 //! [`EdrWorkspace::scratch_allocs`]) so tests can assert on one workspace
 //! without reading — and racing on — process-global state.
 
-use crate::kernel::RankMasks;
+use crate::kernel::{band_words, RankMasks};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use trajsim_core::{CoordSeq, MatchThreshold, Trajectory};
@@ -250,7 +250,8 @@ impl<const D: usize> QueryContext<D> {
     /// scratch: the bit-parallel full DP, every match word built by
     /// compares. The reference `SequentialScan` runs on it, so the
     /// baseline every engine's speed-up is measured against stays put;
-    /// [`QueryContext::edr_banded`] is the faster route to the same value.
+    /// [`QueryContext::edr_banded`] under `usize::MAX` is the faster route
+    /// to the same value.
     pub fn edr_counted<S: CoordSeq<D>>(&self, candidate: S, ws: &mut EdrWorkspace) -> (usize, u64) {
         crate::edr_counted_with(self, candidate, self.eps, ws)
     }
@@ -265,16 +266,22 @@ impl<const D: usize> QueryContext<D> {
     /// building the sliding-band kernel's match words (compares build
     /// them for a non-finite query, one longer than 1 024 points, or one
     /// whose words would outnumber the full DP's). The pruning engines'
-    /// bounded refines, range queries, the early-abandoning scans and
-    /// [`QueryContext::edr_banded`] all run here.
+    /// bounded refines, range queries and the early-abandoning scans all
+    /// run here.
     pub fn edr_within_counted<S: CoordSeq<D>>(
         &self,
         candidate: S,
         bound: usize,
         ws: &mut EdrWorkspace,
     ) -> (Option<usize>, u64) {
+        let (m, n) = (self.len, candidate.len());
         crate::edr::within_counted(self, candidate, self.eps, bound, ws, || {
-            self.ranks.get_or_init(|| RankMasks::build(self)).as_ref()
+            // The query is the pattern unless that would take more lanes
+            // than the full DP, whose pattern is the shorter side.
+            let full_words = m.min(n).div_ceil(64) * m.max(n);
+            (n * band_words(m, bound) <= full_words)
+                .then(|| self.ranks())
+                .flatten()
         })
     }
 
@@ -288,14 +295,26 @@ impl<const D: usize> QueryContext<D> {
         self.edr_within_counted(candidate, bound, ws).0
     }
 
-    /// `EDR(query, candidate)` through [`QueryContext::edr_within`] with
-    /// an unbounded bound: the sliding-band kernel never abandons then,
-    /// and builds its match words from the query's rank masks. Equal to [`QueryContext::edr`]; the
-    /// exact offline EDR matrices (the CSE and evaluation matrices)
-    /// compute every entry this way.
-    pub fn edr_banded<S: CoordSeq<D>>(&self, candidate: S, ws: &mut EdrWorkspace) -> usize {
-        self.edr_within(candidate, usize::MAX, ws)
-            .expect("an unbounded band never abandons")
+    /// [`QueryContext::edr_within`] with every DP on the query's rank
+    /// masks, whatever the lengths: the offline matrices' entry point,
+    /// which reports no lanes, so it skips the query refines' lane rule
+    /// (compares build the words only for a query without masks). The
+    /// near-triangle pmatrix calls it under `L − |S|`; the exact CSE and
+    /// evaluation matrices under `usize::MAX`, which never abandons and
+    /// gives [`QueryContext::edr`]'s value.
+    pub fn edr_banded<S: CoordSeq<D>>(
+        &self,
+        candidate: S,
+        bound: usize,
+        ws: &mut EdrWorkspace,
+    ) -> Option<usize> {
+        crate::edr::within_counted(self, candidate, self.eps, bound, ws, || self.ranks()).0
+    }
+
+    /// The query's rank masks, built on first use; `None` for a query
+    /// that has none.
+    fn ranks(&self) -> Option<&RankMasks<D>> {
+        self.ranks.get_or_init(|| RankMasks::build(self)).as_ref()
     }
 }
 

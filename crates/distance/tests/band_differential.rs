@@ -7,14 +7,17 @@
 //! boundaries, at bounds around one and two band words, and with the
 //! query on either side of the length order. Each call's lanes must also
 //! stay within the full DP's. Unbounded calls (a bound of at least the
-//! longer length, and `usize::MAX` as `QueryContext::edr_banded` passes
-//! for the offline EDR matrices) must return the naive DP's exact EDR.
+//! longer length, and `usize::MAX` as the exact offline EDR matrices
+//! pass to `QueryContext::edr_banded`) must return the naive DP's exact
+//! EDR, with the lanes of a bound equal to the longer length.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajsim_core::{MatchThreshold, Trajectory2};
-use trajsim_distance::{edr_counted, edr_within, edr_within_naive, EdrWorkspace, QueryContext};
+use trajsim_distance::{
+    edr_counted, edr_within_counted, edr_within_naive, EdrWorkspace, QueryContext,
+};
 
 fn eps(v: f64) -> MatchThreshold {
     MatchThreshold::new(v).unwrap()
@@ -46,35 +49,48 @@ fn bounds(r: &Trajectory2, s: &Trajectory2, true_d: usize) -> Vec<usize> {
 }
 
 /// Checks every bounded entry point against the naive oracle, with each
-/// trajectory as the query in turn.
+/// trajectory as the query in turn. `edr_banded` takes the rank masks
+/// whatever the lengths, so it checks the masks on the pairs the query
+/// refines send to compared words too. A bound of at least the longer
+/// length cannot be passed: it must give the lanes of that length.
 fn check_pair(r: &Trajectory2, s: &Trajectory2, e: MatchThreshold, ws: &mut EdrWorkspace) {
     let (true_d, full_lanes) = edr_counted(r, s, e);
+    let longest = r.len().max(s.len());
     for bound in bounds(r, s, true_d) {
         let want = edr_within_naive(r, s, e, bound);
         let lens = (r.len(), s.len());
+        let free = edr_within_counted(r, s, e, bound);
         assert_eq!(
-            edr_within(r, s, e, bound),
+            free.0,
             want,
             "free function, lens {lens:?}, bound {bound}, eps {}",
             e.value()
         );
+        if bound >= longest {
+            assert_eq!(free, edr_within_counted(r, s, e, longest), "lens {lens:?}");
+        }
         for (query, candidate) in [(r, s), (s, r)] {
             let ctx = QueryContext::from_trajectory(query, e);
             let (d, lanes) = ctx.edr_within_counted(candidate, bound, ws);
-            assert_eq!(
-                d,
-                want,
-                "query context, query len {}, candidate len {}, bound {bound}, eps {}",
+            let label = format!(
+                "query len {}, candidate len {}, bound {bound}, eps {}",
                 query.len(),
                 candidate.len(),
                 e.value()
             );
+            assert_eq!(d, want, "query context, {label}");
             assert!(
                 lanes <= full_lanes,
-                "bound {bound}: {lanes} lanes over the full DP's {full_lanes}"
+                "{label}: {lanes} lanes over the full DP's {full_lanes}"
             );
-            if bound == usize::MAX {
-                assert_eq!(ctx.edr_banded(candidate, ws), d.expect("unbounded"));
+            assert_eq!(
+                ctx.edr_banded(candidate, bound, ws),
+                want,
+                "banded, {label}"
+            );
+            if bound >= longest {
+                let at_longest = ctx.edr_within_counted(candidate, longest, ws);
+                assert_eq!((d, lanes), at_longest, "{label}");
             }
         }
     }

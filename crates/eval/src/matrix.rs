@@ -28,9 +28,9 @@ impl DistanceMatrix {
     /// refine path: candidates live in a [`TrajectoryArena`] and are
     /// visited in layout order, the row trajectory is embedded once per
     /// row as a [`QueryContext`] (each entry is
-    /// [`QueryContext::edr_banded`], match words from the row's rank
-    /// masks), and each worker reuses one pre-grown [`EdrWorkspace`]
-    /// across all of its rows.
+    /// [`QueryContext::edr_banded`] under `usize::MAX`, match words from
+    /// the row's rank masks), and each worker reuses one pre-grown
+    /// [`EdrWorkspace`] across all of its rows.
     pub fn edr_from_dataset<const D: usize>(data: &Dataset<D>, eps: MatchThreshold) -> Self {
         let n = data.len();
         let arena = TrajectoryArena::from_dataset(data);
@@ -41,7 +41,11 @@ impl DistanceMatrix {
             |ws, _, &i| {
                 let ctx = QueryContext::new(arena.view(i), eps);
                 (0..i)
-                    .map(|j| ctx.edr_banded(arena.view(j), ws) as f64)
+                    .map(|j| {
+                        ctx.edr_banded(arena.view(j), usize::MAX, ws)
+                            .expect("an unbounded band never abandons")
+                            as f64
+                    })
                     .collect()
             },
         );
