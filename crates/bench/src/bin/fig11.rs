@@ -10,8 +10,8 @@ use trajsim_bench::{probing_queries, render_table, retrieval_eps, run_engine, wr
 use trajsim_core::TrajectoryArena;
 use trajsim_data::nhl_like;
 use trajsim_prune::{
-    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, ScanMode,
-    SequentialScan,
+    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, ScanMode,
+    SequentialScan, FILTER_ORDERS,
 };
 
 fn main() {
@@ -37,9 +37,9 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json = serde_json::Map::new();
-    for order in PruneOrder::ALL {
+    for stages in FILTER_ORDERS {
         let config = CombinedConfig {
-            order,
+            stages,
             histogram: HistogramVariant::Grid { delta: 1 },
             qgram_q: 1,
             max_triangle,

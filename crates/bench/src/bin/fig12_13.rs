@@ -18,8 +18,8 @@ use trajsim_bench::{
 use trajsim_core::{Dataset, TrajectoryArena};
 use trajsim_data::{mixed_like, nhl_like, random_walk_db};
 use trajsim_prune::{
-    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, QgramKnn,
-    QgramVariant, ScanMode, SequentialScan,
+    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, QgramKnn,
+    QgramVariant, ScanMode, SequentialScan, Stage,
 };
 
 fn main() {
@@ -86,7 +86,7 @@ fn main() {
             HistogramVariant::Grid { delta: 1 },
         ] {
             let config = CombinedConfig {
-                order: PruneOrder::HQN,
+                stages: &[Stage::Histogram, Stage::Qgram, Stage::Triangle],
                 histogram,
                 qgram_q: 1,
                 max_triangle,

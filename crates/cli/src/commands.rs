@@ -1231,15 +1231,22 @@ fn write_metrics(
 }
 
 /// The engine of `range` and its replay: 1HE-HSR, or at ε = 0, where no
-/// histogram can be built, the cascade with no filter at all. The
-/// q-gram filter alone (`PruneOrder::Q`) is sound there too, but its
-/// means build and merge join cost a one-shot query more than the
-/// refines it saves (EXPERIMENTS.md).
+/// histogram can be built, the cascade with no stage at all over a
+/// database-order scan. The q-gram filter alone (`stages:
+/// &[Stage::Qgram]`) is sound there too, but its means build and merge
+/// join cost a one-shot query more than the refines it saves
+/// (EXPERIMENTS.md).
 fn range_engine(ds: &Dataset<2>, eps: MatchThreshold) -> CombinedKnn<'_, 2> {
-    let histograms =
-        CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted);
-    let none = CombinedConfig::near_triangle_only(0);
-    CombinedKnn::build(ds, eps, if eps.value() > 0.0 { histograms } else { none })
+    let config = if eps.value() > 0.0 {
+        CombinedConfig::histogram_only(HistogramVariant::PerDimension, ScanMode::Sorted)
+    } else {
+        CombinedConfig {
+            stages: &[],
+            scan: ScanMode::Sequential,
+            ..CombinedConfig::default()
+        }
+    };
+    CombinedKnn::build(ds, eps, config)
 }
 
 fn range(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {

@@ -34,9 +34,11 @@
 //! bit-vector kernels — m·64·⌈n/64⌉ for the full one, and
 //! rows·64·⌈(2·bound+1)/64⌉ for the band (padding lanes included — they
 //! are computed, that is the point). A narrow band therefore counts more
-//! lanes than the scalar cells it replaces while taking less time; it
-//! never counts more than the full kernel, because its window is capped
-//! at the words the whole pattern needs.
+//! lanes than the scalar cells it replaces while taking less time. Its
+//! window is capped at the words the whole pattern needs, but the
+//! pattern of a context call is always the query: against a shorter
+//! candidate a wide band can count more lanes than the full kernel,
+//! whose pattern is the shorter side, and still take less time.
 //!
 //! Dispatch (in [`crate::edr`] / [`crate::edr_within`]): `edr` uses the
 //! bit-parallel kernel, and every bounded call with `bound >= 1` runs
@@ -48,19 +50,17 @@
 //! exact compares, and a window extract); the free functions, and a
 //! context whose query is non-finite or longer than `RANK_MASK_MAX_LEN`
 //! (1024), compare the band's cells directly, with the shorter sequence
-//! as the pattern. A query refine
-//! ([`QueryContext::edr_within_counted`](crate::QueryContext::edr_within_counted))
-//! also compares when the query-as-pattern band would count more lanes
-//! than the full DP, so its `dp_cells` never exceed the full kernel's;
-//! the offline matrices, which count no lanes, take the masks for every
-//! entry through
-//! [`QueryContext::edr_banded`](crate::QueryContext::edr_banded). The
-//! `naive-kernel` feature reroutes both entry points to the naive kernel
-//! so any result can be reproduced on the reference path.
+//! as the pattern. Query refines and the offline matrices share the one
+//! context entry point,
+//! [`QueryContext::edr_within_counted`](crate::QueryContext::edr_within_counted),
+//! whatever the lengths. The `naive-kernel` feature reroutes both entry
+//! points to the naive kernel so any result can be reproduced on the
+//! reference path.
 //!
 //! Full distances take one of two routes. The exact offline EDR matrices
 //! — the CSE pairwise matrix and the evaluation `DistanceMatrix` — call
-//! `edr_banded` with an unbounded bound: the sliding band never abandons
+//! [`QueryContext::edr_within`](crate::QueryContext::edr_within) with an
+//! unbounded bound: the sliding band never abandons
 //! then, so it returns the exact distance and reads the target diagonal
 //! in its last column only. The near-triangle pmatrix calls it under
 //! `L − |S|` (see `build_pmatrix` in `trajsim-prune`).

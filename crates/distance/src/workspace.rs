@@ -22,7 +22,7 @@
 //! [`EdrWorkspace::scratch_allocs`]) so tests can assert on one workspace
 //! without reading — and racing on — process-global state.
 
-use crate::kernel::{band_words, RankMasks};
+use crate::kernel::RankMasks;
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use trajsim_core::{CoordSeq, MatchThreshold, Trajectory};
@@ -187,11 +187,11 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut EdrWorkspace) -> R) -> R {
 /// the matching threshold, so engines pass it straight to the
 /// `*_with`-style entry points in [`crate::edr`].
 ///
-/// The first bounded call ([`QueryContext::edr_within_counted`], or
-/// [`QueryContext::edr_banded`]) also builds per-dimension rank masks of
-/// the query, from which the sliding-band kernel builds each candidate
-/// point's ε-match word with two table lookups per dimension; contexts
-/// that only ever call [`QueryContext::edr`] never build them.
+/// The first bounded call that runs a DP
+/// ([`QueryContext::edr_within_counted`]) also builds per-dimension rank
+/// masks of the query, from which the sliding-band kernel builds each
+/// candidate point's ε-match word with two table lookups per dimension;
+/// contexts that only ever call [`QueryContext::edr`] never build them.
 #[derive(Debug, Clone)]
 pub struct QueryContext<const D: usize> {
     coords: Vec<f64>,
@@ -250,7 +250,7 @@ impl<const D: usize> QueryContext<D> {
     /// scratch: the bit-parallel full DP, every match word built by
     /// compares. The reference `SequentialScan` runs on it, so the
     /// baseline every engine's speed-up is measured against stays put;
-    /// [`QueryContext::edr_banded`] under `usize::MAX` is the faster route
+    /// [`QueryContext::edr_within`] under `usize::MAX` is the faster route
     /// to the same value.
     pub fn edr_counted<S: CoordSeq<D>>(&self, candidate: S, ws: &mut EdrWorkspace) -> (usize, u64) {
         crate::edr_counted_with(self, candidate, self.eps, ws)
@@ -263,26 +263,21 @@ impl<const D: usize> QueryContext<D> {
 
     /// Early-abandoning EDR with DP-cell accounting, on borrowed scratch:
     /// [`crate::edr_within_counted_with`], with the query's rank masks
-    /// building the sliding-band kernel's match words (compares build
-    /// them for a non-finite query, one longer than 1 024 points, or one
-    /// whose words would outnumber the full DP's). The pruning engines'
-    /// bounded refines, range queries and the early-abandoning scans all
-    /// run here.
+    /// building the sliding-band kernel's match words whatever the
+    /// lengths (compares build them, the shorter side the pattern, only
+    /// for a non-finite query or one longer than 1 024 points). The
+    /// pruning engines' bounded refines, range queries, the
+    /// early-abandoning scans and the offline matrices all run here: the
+    /// near-triangle pmatrix under `L − |S|`, the exact CSE and
+    /// evaluation matrices under `usize::MAX`, which never abandons and
+    /// gives [`QueryContext::edr`]'s value.
     pub fn edr_within_counted<S: CoordSeq<D>>(
         &self,
         candidate: S,
         bound: usize,
         ws: &mut EdrWorkspace,
     ) -> (Option<usize>, u64) {
-        let (m, n) = (self.len, candidate.len());
-        crate::edr::within_counted(self, candidate, self.eps, bound, ws, || {
-            // The query is the pattern unless that would take more lanes
-            // than the full DP, whose pattern is the shorter side.
-            let full_words = m.min(n).div_ceil(64) * m.max(n);
-            (n * band_words(m, bound) <= full_words)
-                .then(|| self.ranks())
-                .flatten()
-        })
+        crate::edr::within_counted(self, candidate, self.eps, bound, ws, || self.ranks())
     }
 
     /// Early-abandoning EDR on borrowed scratch.
@@ -293,22 +288,6 @@ impl<const D: usize> QueryContext<D> {
         ws: &mut EdrWorkspace,
     ) -> Option<usize> {
         self.edr_within_counted(candidate, bound, ws).0
-    }
-
-    /// [`QueryContext::edr_within`] with every DP on the query's rank
-    /// masks, whatever the lengths: the offline matrices' entry point,
-    /// which reports no lanes, so it skips the query refines' lane rule
-    /// (compares build the words only for a query without masks). The
-    /// near-triangle pmatrix calls it under `L − |S|`; the exact CSE and
-    /// evaluation matrices under `usize::MAX`, which never abandons and
-    /// gives [`QueryContext::edr`]'s value.
-    pub fn edr_banded<S: CoordSeq<D>>(
-        &self,
-        candidate: S,
-        bound: usize,
-        ws: &mut EdrWorkspace,
-    ) -> Option<usize> {
-        crate::edr::within_counted(self, candidate, self.eps, bound, ws, || self.ranks()).0
     }
 
     /// The query's rank masks, built on first use; `None` for a query

@@ -5,11 +5,12 @@
 //! (`edr_within_naive`) returns — on ε boundaries that are hit exactly or
 //! missed by one rounding, with NaN on either side, across 64-lane word
 //! boundaries, at bounds around one and two band words, and with the
-//! query on either side of the length order. Each call's lanes must also
-//! stay within the full DP's. Unbounded calls (a bound of at least the
-//! longer length, and `usize::MAX` as the exact offline EDR matrices
-//! pass to `QueryContext::edr_banded`) must return the naive DP's exact
-//! EDR, with the lanes of a bound equal to the longer length.
+//! query on either side of the length order. The free function's lanes
+//! must also stay within the full DP's, since both take the shorter side
+//! as the pattern. Unbounded calls (a bound of at least the longer
+//! length, and `usize::MAX` as the exact offline EDR matrices pass) must
+//! return the naive DP's exact EDR, with the lanes of a bound equal to
+//! the longer length.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -49,10 +50,9 @@ fn bounds(r: &Trajectory2, s: &Trajectory2, true_d: usize) -> Vec<usize> {
 }
 
 /// Checks every bounded entry point against the naive oracle, with each
-/// trajectory as the query in turn. `edr_banded` takes the rank masks
-/// whatever the lengths, so it checks the masks on the pairs the query
-/// refines send to compared words too. A bound of at least the longer
-/// length cannot be passed: it must give the lanes of that length.
+/// trajectory as the query in turn; a context takes the rank masks
+/// whatever the lengths. A bound of at least the longer length cannot be
+/// passed: it must give the lanes of that length.
 fn check_pair(r: &Trajectory2, s: &Trajectory2, e: MatchThreshold, ws: &mut EdrWorkspace) {
     let (true_d, full_lanes) = edr_counted(r, s, e);
     let longest = r.len().max(s.len());
@@ -65,6 +65,11 @@ fn check_pair(r: &Trajectory2, s: &Trajectory2, e: MatchThreshold, ws: &mut EdrW
             want,
             "free function, lens {lens:?}, bound {bound}, eps {}",
             e.value()
+        );
+        assert!(
+            free.1 <= full_lanes,
+            "free function, lens {lens:?}, bound {bound}: {} lanes over the full DP's {full_lanes}",
+            free.1
         );
         if bound >= longest {
             assert_eq!(free, edr_within_counted(r, s, e, longest), "lens {lens:?}");
@@ -79,15 +84,6 @@ fn check_pair(r: &Trajectory2, s: &Trajectory2, e: MatchThreshold, ws: &mut EdrW
                 e.value()
             );
             assert_eq!(d, want, "query context, {label}");
-            assert!(
-                lanes <= full_lanes,
-                "{label}: {lanes} lanes over the full DP's {full_lanes}"
-            );
-            assert_eq!(
-                ctx.edr_banded(candidate, bound, ws),
-                want,
-                "banded, {label}"
-            );
             if bound >= longest {
                 let at_longest = ctx.edr_within_counted(candidate, longest, ws);
                 assert_eq!((d, lanes), at_longest, "{label}");

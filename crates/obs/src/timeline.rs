@@ -2,7 +2,7 @@
 //!
 //! A [`Timeline`] periodically snapshots a [`Registry`] and stores the
 //! *delta* since the previous snapshot — counter increments, gauge
-//! last-values, histogram bucket increments — as one [`Interval`] in a
+//! last-values, histogram bucket increments — as one `Interval` in a
 //! fixed-capacity ring. When the ring is full the oldest interval is
 //! folded into a cumulative `base`, so the invariant
 //!

@@ -45,94 +45,35 @@ pub enum ScanMode {
     Sorted,
 }
 
-/// The filters the cascade applies, in application order. The paper
-/// tests all six orders of the three filters (Figure 11); `HQN` —
-/// histogram, then q-grams, then near triangle — is the winner,
-/// "applying a pruning method with more pruning power and less expensive
-/// computation cost first". `H` and `N` are the single-filter engines of
-/// §4.3 and §4.2; `Q`, the q-gram filter alone, is the one order that
-/// needs neither histograms nor a pmatrix, so it prunes at ε = 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::upper_case_acronyms)]
-pub enum PruneOrder {
-    /// histogram → q-gram → near-triangle (the paper's 2HPN / 1HPN).
-    HQN,
-    /// histogram → near-triangle → q-gram.
-    HNQ,
-    /// q-gram → histogram → near-triangle.
-    QHN,
-    /// q-gram → near-triangle → histogram.
-    QNH,
-    /// near-triangle → histogram → q-gram.
-    NHQ,
-    /// near-triangle → q-gram → histogram.
-    NQH,
-    /// Histogram pruning alone (§4.3, Figures 9–10).
-    H,
-    /// Near-triangle pruning alone (§4.2, Table 3).
-    N,
-    /// Q-gram count pruning alone (§4.1).
-    Q,
-}
-
-impl PruneOrder {
-    /// The six orders of all three filters, for the Figure 11 sweep.
-    pub const ALL: [PruneOrder; 6] = [
-        PruneOrder::HQN,
-        PruneOrder::HNQ,
-        PruneOrder::QHN,
-        PruneOrder::QNH,
-        PruneOrder::NHQ,
-        PruneOrder::NQH,
-    ];
-
-    /// The filters in application order.
-    pub fn filters(self) -> &'static [Stage] {
-        use Stage::*;
-        match self {
-            PruneOrder::HQN => &[Histogram, Qgram, Triangle],
-            PruneOrder::HNQ => &[Histogram, Triangle, Qgram],
-            PruneOrder::QHN => &[Qgram, Histogram, Triangle],
-            PruneOrder::QNH => &[Qgram, Triangle, Histogram],
-            PruneOrder::NHQ => &[Triangle, Histogram, Qgram],
-            PruneOrder::NQH => &[Triangle, Qgram, Histogram],
-            PruneOrder::H => &[Histogram],
-            PruneOrder::N => &[Triangle],
-            PruneOrder::Q => &[Qgram],
-        }
-    }
-
-    /// True iff the order applies `stage`.
-    pub(crate) fn names(self, stage: Stage) -> bool {
-        self.filters().contains(&stage)
-    }
-
-    /// The paper's label style: e.g. `2HPN` for histogram → q-gram →
-    /// near-triangle with 2-d histograms.
-    pub fn label(self, histogram: HistogramVariant) -> String {
-        let h = match histogram {
-            HistogramVariant::Grid { .. } => "2H",
-            HistogramVariant::PerDimension => "1H",
-        };
-        self.filters()
-            .iter()
-            .map(|f| match f {
-                Stage::Histogram => h,
-                Stage::Qgram => "P",
-                Stage::Triangle => "N",
-            })
-            .collect()
-    }
-}
+/// The six orders of all three filters, the Figure 11 sweep. The paper
+/// finds that they prune the same candidates and that `HQN` — histogram,
+/// then q-grams, then near triangle — is the fastest, "applying a pruning
+/// method with more pruning power and less expensive computation cost
+/// first".
+pub const FILTER_ORDERS: [&[Stage]; 6] = {
+    use Stage::*;
+    [
+        &[Histogram, Qgram, Triangle],
+        &[Histogram, Triangle, Qgram],
+        &[Qgram, Histogram, Triangle],
+        &[Qgram, Triangle, Histogram],
+        &[Triangle, Histogram, Qgram],
+        &[Triangle, Qgram, Histogram],
+    ]
+};
 
 /// Configuration of the cascade. The engine builds only the structures
-/// it names: histograms when the order names the histogram filter or the
-/// scan is [`ScanMode::Sorted`], q-gram means when it names the q-gram
-/// filter, and the reference `pmatrix` when it names the triangle filter.
+/// its stages name: histograms for the histogram filter or a
+/// [`ScanMode::Sorted`] scan, q-gram means for the q-gram filter, and the
+/// reference `pmatrix` for the triangle filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CombinedConfig {
-    /// Filter application order.
-    pub order: PruneOrder,
+    /// The filters, in the order they are applied: any of the three, each
+    /// at most once. `[Histogram]` and `[Triangle]` are the single-filter
+    /// engines of §4.3 and §4.2; `[Qgram]` needs neither histograms nor a
+    /// pmatrix, so it prunes at ε = 0; the empty list refines every
+    /// candidate the scan visits.
+    pub stages: &'static [Stage],
     /// Histogram embedding (2-d grid or per-dimension 1-d).
     pub histogram: HistogramVariant,
     /// Q-gram size for the merge-join count filter (the paper settles on
@@ -151,7 +92,7 @@ impl Default for CombinedConfig {
     /// 1, then near-triangle with 400 references, over the HSR scan.
     fn default() -> Self {
         CombinedConfig {
-            order: PruneOrder::HQN,
+            stages: &[Stage::Histogram, Stage::Qgram, Stage::Triangle],
             histogram: HistogramVariant::PerDimension,
             qgram_q: 1,
             max_triangle: 400,
@@ -165,7 +106,7 @@ impl CombinedConfig {
     /// each with an HSE or HSR scan.
     pub fn histogram_only(histogram: HistogramVariant, scan: ScanMode) -> Self {
         CombinedConfig {
-            order: PruneOrder::H,
+            stages: &[Stage::Histogram],
             histogram,
             scan,
             ..CombinedConfig::default()
@@ -176,7 +117,7 @@ impl CombinedConfig {
     /// scan, with the first `max_triangle` trajectories as references.
     pub fn near_triangle_only(max_triangle: usize) -> Self {
         CombinedConfig {
-            order: PruneOrder::N,
+            stages: &[Stage::Triangle],
             max_triangle,
             scan: ScanMode::Sequential,
             ..CombinedConfig::default()
@@ -185,13 +126,13 @@ impl CombinedConfig {
 
     /// True iff the engine embeds histograms, which need a positive ε.
     pub fn builds_histograms(&self) -> bool {
-        self.order.names(Stage::Histogram) || self.scan == ScanMode::Sorted
+        self.stages.contains(&Stage::Histogram) || self.scan == ScanMode::Sorted
     }
 
     /// The reference pool size over `n` trajectories: `max_triangle`
-    /// capped at `n`, or 0 when the order has no triangle filter.
+    /// capped at `n`, or 0 without the triangle filter.
     fn references(&self, n: usize) -> usize {
-        if self.order.names(Stage::Triangle) {
+        if self.stages.contains(&Stage::Triangle) {
             self.max_triangle.min(n)
         } else {
             0
@@ -199,31 +140,45 @@ impl CombinedConfig {
     }
 
     /// The paper's label: `2HE-HSE`, `1HE-HSR`, `NTR(maxT=400)` for the
-    /// single-filter engines and `1HPN` style for the combinations. A
-    /// scan other than the engine's paper default (HSE for NTR, HSR for
-    /// the rest) is appended.
+    /// single-filter engines and one letter per stage, `1HPN` style, for
+    /// the rest (`2H` or `1H` for the histogram, `P` for the q-grams, `N`
+    /// for the near triangle). A scan other than the engine's paper
+    /// default (HSE for NTR, HSR for the rest) is appended; with no
+    /// stage the scan alone names the engine.
     fn label(&self) -> String {
         let scan = match self.scan {
             ScanMode::Sequential => "HSE",
             ScanMode::Sorted => "HSR",
         };
-        match self.order {
-            PruneOrder::H => {
-                let v = match self.histogram {
-                    HistogramVariant::Grid { delta: 1 } => "2HE".to_string(),
-                    HistogramVariant::Grid { delta } => format!("2H{delta}E"),
-                    HistogramVariant::PerDimension => "1HE".to_string(),
-                };
-                format!("{v}-{scan}")
-            }
-            PruneOrder::N => match self.scan {
+        match self.stages {
+            [] => scan.to_string(),
+            [Stage::Histogram] => match self.histogram {
+                HistogramVariant::Grid { delta: 1 } => format!("2HE-{scan}"),
+                HistogramVariant::Grid { delta } => format!("2H{delta}E-{scan}"),
+                HistogramVariant::PerDimension => format!("1HE-{scan}"),
+            },
+            [Stage::Triangle] => match self.scan {
                 ScanMode::Sequential => format!("NTR(maxT={})", self.max_triangle),
                 ScanMode::Sorted => format!("NTR(maxT={})-{scan}", self.max_triangle),
             },
-            order => match self.scan {
-                ScanMode::Sequential => format!("{}-{scan}", order.label(self.histogram)),
-                ScanMode::Sorted => order.label(self.histogram),
-            },
+            stages => {
+                let h = match self.histogram {
+                    HistogramVariant::Grid { .. } => "2H",
+                    HistogramVariant::PerDimension => "1H",
+                };
+                let letters: String = stages
+                    .iter()
+                    .map(|stage| match stage {
+                        Stage::Histogram => h,
+                        Stage::Qgram => "P",
+                        Stage::Triangle => "N",
+                    })
+                    .collect();
+                match self.scan {
+                    ScanMode::Sequential => format!("{letters}-{scan}"),
+                    ScanMode::Sorted => letters,
+                }
+            }
         }
     }
 }
@@ -241,7 +196,7 @@ impl CombinedConfig {
 /// max(|Q|, L)`; so `EDR(Q, R) − p − |S| ≥ cutoff` can only hold for
 /// `p ≤ L − |S|`, where the entry is exact, and every larger entry —
 /// the cap included — fails it. Each entry is one
-/// [`QueryContext::edr_banded`] under `L − |S|`: a length pre-check
+/// [`QueryContext::edr_within`] under `L − |S|`: a length pre-check
 /// answers many without any DP, and the rest run a band of that width
 /// with the diagonal cut-off, every match word from the reference's rank
 /// masks. Rows are computed in parallel: one `trajsim-parallel` task
@@ -262,7 +217,7 @@ pub fn build_pmatrix<const D: usize>(
             (0..arena.len())
                 .map(|s| {
                     let usable = longest - arena.len_of(s);
-                    ctx.edr_banded(arena.view(s), usable, ws)
+                    ctx.edr_within(arena.view(s), usable, ws)
                         .unwrap_or(usable + 1)
                 })
                 .collect()
@@ -370,7 +325,7 @@ impl<const D: usize> ArtIndexes<D> {
 /// `EDRCombineK-NN` (Figure 6), generalized to any list of filters in
 /// any order: each candidate runs through the configured lower-bound
 /// filters and the true EDR is computed only if none of them prunes it.
-/// The single-filter orders are the paper's histogram engine (§4.3,
+/// The single-filter lists are the paper's histogram engine (§4.3,
 /// HSE/HSR) and `NearTrianglePruning` (§4.2, Figure 4).
 ///
 /// Because the filters are orthogonal lower bounds, the *set* of pruned
@@ -387,13 +342,13 @@ pub struct CombinedKnn<'a, const D: usize> {
     config: CombinedConfig,
     /// Histogram embeddings, when the configuration builds them.
     hists: Option<Hists<D>>,
-    /// Sorted q-gram means, when the order names the q-gram filter.
+    /// Sorted q-gram means, when the stages name the q-gram filter.
     qgrams: Option<Vec<SortedMeans<D>>>,
     /// `pmatrix[r][s]` for the reference pool (the first `max_triangle`
     /// ids): `EDR(R, S)` wherever it is at most `L − |S|` (`L` the
     /// longest trajectory), anything above that elsewhere, since such an
     /// entry can never pass the triangle test ([`build_pmatrix`] stores
-    /// `L − |S| + 1` there); empty unless the order names the triangle
+    /// `L − |S| + 1` there); empty unless the stages name the triangle
     /// filter.
     pmatrix: Vec<Vec<usize>>,
     /// Signature indexes for sublinear candidate generation, when built.
@@ -408,7 +363,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     ///
     /// As [`Self::with_pmatrix`].
     pub fn build(dataset: &'a Dataset<D>, eps: MatchThreshold, config: CombinedConfig) -> Self {
-        if !config.order.names(Stage::Triangle) {
+        if !config.stages.contains(&Stage::Triangle) {
             return Self::with_pmatrix(dataset, eps, config, Vec::new());
         }
         let arena = TrajectoryArena::from_dataset(dataset);
@@ -417,8 +372,8 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     }
 
     /// Builds with an externally computed reference `pmatrix` (row `r`
-    /// for `r < max_triangle.min(N)`; no rows when the order has no
-    /// triangle filter), so one matrix can serve several configurations.
+    /// for `r < max_triangle.min(N)`; no rows without the triangle
+    /// filter), so one matrix can serve several configurations.
     /// Entry `[r][s]` must be `EDR(db[r], db[s])` wherever that is at
     /// most `L − |db[s]|`, with `L` the longest trajectory in `dataset`;
     /// above that any value greater than `L − |db[s]|` gives the same
@@ -428,16 +383,24 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shape is inconsistent with the database and
-    /// configuration, if the configuration builds histograms and `eps` is
-    /// zero or `delta` is zero, or if it builds q-gram means and
-    /// `qgram_q` is zero.
+    /// Panics if a stage appears twice in the configuration, if the
+    /// matrix shape is inconsistent with the database and configuration,
+    /// if the configuration builds histograms and `eps` is zero or
+    /// `delta` is zero, or if it builds q-gram means and `qgram_q` is
+    /// zero.
     pub fn with_pmatrix(
         dataset: &'a Dataset<D>,
         eps: MatchThreshold,
         config: CombinedConfig,
         pmatrix: Vec<Vec<usize>>,
     ) -> Self {
+        for (i, stage) in config.stages.iter().enumerate() {
+            assert!(
+                !config.stages[..i].contains(stage),
+                "stage {} appears twice",
+                stage.name()
+            );
+        }
         assert_eq!(
             pmatrix.len(),
             config.references(dataset.len()),
@@ -473,7 +436,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                 ),
             }
         });
-        let qgrams = config.order.names(Stage::Qgram).then(|| {
+        let qgrams = config.stages.contains(&Stage::Qgram).then(|| {
             assert!(config.qgram_q > 0, "q-gram size must be positive");
             dataset
                 .iter()
@@ -501,7 +464,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     /// # Panics
     ///
     /// Panics unless the configuration builds both histograms and q-gram
-    /// means (a sorted scan whose order names the q-gram filter).
+    /// means (a sorted scan whose stages name the q-gram filter).
     pub fn with_index(mut self) -> Self {
         let (Some(hists), Some(qgrams)) = (&self.hists, &self.qgrams) else {
             panic!("the signature index needs histograms and q-gram means");
@@ -735,7 +698,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
                     continue;
                 }
                 if cutoff != usize::MAX {
-                    for &filter in self.config.order.filters() {
+                    for &filter in self.config.stages {
                         // With no reference pool the triangle test can
                         // never prune: skip it, as a stage with no work.
                         if filter == Stage::Triangle && self.pmatrix.is_empty() {
@@ -953,16 +916,16 @@ mod tests {
         let e = eps(0.6);
         let truth = SequentialScan::new(&db, e).knn(&query, 5);
         let mut powers = Vec::new();
-        for order in PruneOrder::ALL {
+        for stages in FILTER_ORDERS {
             let config = CombinedConfig {
-                order,
+                stages,
                 histogram: HistogramVariant::Grid { delta: 1 },
                 max_triangle: 20,
                 ..CombinedConfig::default()
             };
             let engine = CombinedKnn::build(&db, e, config);
             let r = engine.knn(&query, 5);
-            assert_eq!(r.distances(), truth.distances(), "{:?} diverged", order);
+            assert_eq!(r.distances(), truth.distances(), "{stages:?} diverged");
             powers.push(r.stats.pruning_power());
         }
         // §4.4: "the six combinations achieve the same pruning power".
@@ -976,17 +939,18 @@ mod tests {
         let db = random_db(3, 80, 20);
         let query = db.trajectories()[4].clone();
         let e = eps(0.5);
-        let mk = |order| {
+        let mk = |stages| {
             let config = CombinedConfig {
-                order,
+                stages,
                 histogram: HistogramVariant::Grid { delta: 1 },
                 max_triangle: 20,
                 ..CombinedConfig::default()
             };
             CombinedKnn::build(&db, e, config).knn(&query, 5).stats
         };
-        let hqn = mk(PruneOrder::HQN);
-        let qhn = mk(PruneOrder::QHN);
+        use Stage::*;
+        let hqn = mk(&[Histogram, Qgram, Triangle]);
+        let qhn = mk(&[Qgram, Histogram, Triangle]);
         // The first filter in the order sees every candidate, so its credit
         // under its own ordering is at least its credit under the other.
         assert!(hqn.pruned_by_histogram >= qhn.pruned_by_histogram);
@@ -1007,20 +971,17 @@ mod tests {
 
     #[test]
     fn labels_follow_the_paper() {
-        assert_eq!(
-            PruneOrder::HQN.label(HistogramVariant::Grid { delta: 1 }),
-            "2HPN"
-        );
-        assert_eq!(
-            PruneOrder::NQH.label(HistogramVariant::Grid { delta: 1 }),
-            "NP2H"
-        );
-        assert_eq!(
-            PruneOrder::HQN.label(HistogramVariant::PerDimension),
-            "1HPN"
-        );
+        use Stage::*;
         let db = random_db(5, 3, 5);
         let name = |config| CombinedKnn::build(&db, eps(0.5), config).name();
+        let grid = |stages| CombinedConfig {
+            stages,
+            histogram: HistogramVariant::Grid { delta: 1 },
+            ..CombinedConfig::default()
+        };
+        assert_eq!(name(grid(&[Histogram, Qgram, Triangle])), "2HPN");
+        assert_eq!(name(grid(&[Triangle, Qgram, Histogram])), "NP2H");
+        assert_eq!(name(CombinedConfig::default()), "1HPN");
         let hist = CombinedConfig::histogram_only;
         assert_eq!(
             name(hist(HistogramVariant::Grid { delta: 1 }, ScanMode::Sorted)),
@@ -1050,6 +1011,13 @@ mod tests {
             ..CombinedConfig::near_triangle_only(2)
         };
         assert_eq!(name(sorted_ntr), "NTR(maxT=2)-HSR");
+        // With no filter the scan alone names the cascade.
+        let scan_only = CombinedConfig {
+            stages: &[],
+            scan: ScanMode::Sequential,
+            ..CombinedConfig::default()
+        };
+        assert_eq!(name(scan_only), "HSE");
     }
 
     #[test]
@@ -1068,7 +1036,7 @@ mod tests {
         assert_eq!(built(hsr), (true, false, 0));
         let ntr = CombinedConfig::near_triangle_only(5);
         assert_eq!(built(ntr), (false, false, 5));
-        // A sorted scan needs the quick bounds, whatever the order.
+        // A sorted scan needs the quick bounds, whatever the stages.
         let sorted_ntr = CombinedConfig {
             scan: ScanMode::Sorted,
             ..ntr
@@ -1217,11 +1185,28 @@ mod tests {
         let db = scatter_db(6, 20, (2, 20));
         let query = db.trajectories()[1].clone();
         let e = eps(0.5);
-        let engine = CombinedKnn::build(&db, e, CombinedConfig::near_triangle_only(0));
         let truth = SequentialScan::new(&db, e).knn(&query, 4);
-        let r = engine.knn(&query, 4);
-        assert_eq!(r.distances(), truth.distances());
-        assert_eq!(r.stats.edr_computed, 20);
+        let no_filter = CombinedConfig {
+            stages: &[],
+            scan: ScanMode::Sequential,
+            ..CombinedConfig::default()
+        };
+        for config in [CombinedConfig::near_triangle_only(0), no_filter] {
+            let r = CombinedKnn::build(&db, e, config).knn(&query, 4);
+            assert_eq!(r.distances(), truth.distances());
+            assert_eq!(r.stats.edr_computed, 20);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stage qgram appears twice")]
+    fn a_repeated_stage_panics() {
+        let db = scatter_db(7, 5, (2, 5));
+        let config = CombinedConfig {
+            stages: &[Stage::Qgram, Stage::Histogram, Stage::Qgram],
+            ..CombinedConfig::default()
+        };
+        let _ = CombinedKnn::with_pmatrix(&db, eps(0.5), config, Vec::new());
     }
 
     #[test]
@@ -1463,9 +1448,9 @@ mod tests {
             let query = random_db(seed + 77, 1, 14).trajectories()[0].clone();
             let e = eps(e);
             let truth = SequentialScan::new(&db, e).knn(&query, k);
-            for order in PruneOrder::ALL {
+            for stages in FILTER_ORDERS {
                 let config = CombinedConfig {
-                    order,
+                    stages,
                     histogram: HistogramVariant::Grid { delta },
                     qgram_q: 2,
                     max_triangle: 8,
@@ -1475,7 +1460,7 @@ mod tests {
                 prop_assert_eq!(
                     engine.knn(&query, k).distances(),
                     truth.distances(),
-                    "order {:?}", order
+                    "stages {:?}", stages
                 );
             }
         }

@@ -55,7 +55,7 @@ pub fn cse_constant(matrix: &[Vec<usize>]) -> i64 {
 /// Computes the full pairwise EDR matrix of a database (the offline input
 /// to [`cse_constant`]). Row `i`'s pairs `(i, j > i)` are one
 /// `trajsim-parallel` task, with one pre-grown workspace per worker and
-/// each entry from [`QueryContext::edr_banded`] under `usize::MAX`; the
+/// each entry from [`QueryContext::edr_within`] under `usize::MAX`; the
 /// lower triangle mirrors them.
 pub fn pairwise_edr_matrix<const D: usize>(
     dataset: &Dataset<D>,
@@ -71,7 +71,7 @@ pub fn pairwise_edr_matrix<const D: usize>(
             let ctx = QueryContext::new(arena.view(i), eps);
             ((i + 1)..n)
                 .map(|j| {
-                    ctx.edr_banded(arena.view(j), usize::MAX, ws)
+                    ctx.edr_within(arena.view(j), usize::MAX, ws)
                         .expect("an unbounded band never abandons")
                 })
                 .collect()

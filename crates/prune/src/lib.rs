@@ -11,18 +11,21 @@
 //! |---|---|---|
 //! | [`SequentialScan`] | baseline | true EDR for every trajectory |
 //! | [`QgramKnn`] | §4.1, Figs. 7–8 | mean-value q-gram counting (variants PR, PB, PS2, PS1) |
-//! | [`CombinedKnn`] | §4.2–4.4, Table 3, Figs. 9–13 | the filter cascade, configured by [`CombinedConfig`]: any order of the histogram, q-gram and near-triangle filters, or one of them alone, over an HSE or HSR scan |
+//! | [`CombinedKnn`] | §4.2–4.4, Table 3, Figs. 9–13 | the filter cascade, configured by [`CombinedConfig`]: a list of [`Stage`]s, any subset of the histogram, q-gram and near-triangle filters in any order, over an HSE or HSR scan |
 //! | [`cse::CseKnn`] | §4.2 discussion | triangle pruning with a constant-shift-embedded constant |
 //! | [`LcssKnn`] | §4 (mentioned, omitted) | histogram-pruned LCSS retrieval |
 //!
-//! The cascade's single-filter configurations are the paper's other
-//! engines: [`CombinedConfig::near_triangle_only`] is near-triangle
+//! The paper's six orders of all three filters are [`FILTER_ORDERS`]
+//! (Fig. 11), and the cascade's single-filter configurations are its
+//! other engines: [`CombinedConfig::near_triangle_only`] is near-triangle
 //! pruning (`EDR(Q,S) >= EDR(Q,R) − EDR(S,R) − |S|`, Table 3, label
 //! `NTR(maxT=M)`), and [`CombinedConfig::histogram_only`] is histogram
 //! pruning (1HE/2HE/2HδE × HSE/HSR, Figs. 9–10). The reference matrix
 //! the triangle filter reads comes from [`build_pmatrix`], built only for
-//! configurations whose order names that filter; its entries are exact
-//! only where the triangle test can use them.
+//! configurations whose stages name that filter; its entries are exact
+//! only where the triangle test can use them. With no stage at all the
+//! cascade refines every candidate, which is what `trajsim range` runs
+//! at ε = 0.
 //!
 //! Every engine implements [`KnnEngine`], returns the same distance
 //! multiset as [`SequentialScan`] (the property tests verify this — the
@@ -58,7 +61,7 @@ mod seqscan;
 pub use batch::{BATCH_RUNS, BATCH_SHARED_SIGNATURE_EVALS, BATCH_SIZE};
 pub use candidates::{Candidate, CandidateBatch, CandidateSource};
 pub use combined::{
-    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, PruneOrder, ScanMode,
+    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, ScanMode, FILTER_ORDERS,
 };
 pub use lcss_knn::{
     lcss_score_upper_bound, lcss_sequential_scan, LcssKnn, LcssKnnResult, LcssNeighbor,

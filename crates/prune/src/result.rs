@@ -415,7 +415,7 @@ impl QueryStats {
 }
 
 /// Trace-record name of the flight-recorder event emitted by
-/// [`finish_query`] — one flat, non-span record per finished query,
+/// `finish_query` — one flat, non-span record per finished query,
 /// carrying the full per-stage candidate flow and timing breakdown. The
 /// `trajsim-profile` flight recorder filters on this name; chrome-trace
 /// renders it as an instant event (it has no `elapsed_ns`), so it never

@@ -19,8 +19,8 @@ use rand::{Rng, SeedableRng};
 use trajsim_core::{Dataset, MatchThreshold, Trajectory2};
 use trajsim_distance::edr;
 use trajsim_prune::{
-    CandidateSource, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder,
-    ScanMode, SequentialScan,
+    CandidateSource, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, ScanMode,
+    SequentialScan, Stage,
 };
 use trajsim_qgram::SortedMeans;
 
@@ -60,7 +60,7 @@ fn configs() -> Vec<CombinedConfig> {
             ..CombinedConfig::default()
         },
         CombinedConfig {
-            order: PruneOrder::QHN,
+            stages: &[Stage::Qgram, Stage::Histogram, Stage::Triangle],
             histogram: HistogramVariant::Grid { delta: 2 },
             qgram_q: 1,
             max_triangle: 16,

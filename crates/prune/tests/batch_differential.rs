@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajsim_core::{Dataset, MatchThreshold, Trajectory2};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, QueryStats, ScanMode,
-    SequentialScan,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, QueryStats, ScanMode, SequentialScan,
+    Stage, FILTER_ORDERS,
 };
 
 mod common;
@@ -105,21 +105,21 @@ fn seqscan_batched_distances_match_per_query() {
     }
 }
 
-/// Every filter order (the six of Figure 11 plus `H` and `N`) × HSE/HSR
-/// × per-dimension/grid histograms.
+/// Every filter order (the six of Figure 11 plus histogram and
+/// near-triangle alone) × HSE/HSR × per-dimension/grid histograms.
 fn combined_configs() -> Vec<CombinedConfig> {
-    let orders = PruneOrder::ALL
+    let orders = FILTER_ORDERS
         .into_iter()
-        .chain([PruneOrder::H, PruneOrder::N]);
+        .chain([&[Stage::Histogram] as &[Stage], &[Stage::Triangle]]);
     let mut out = Vec::new();
-    for order in orders {
+    for stages in orders {
         for histogram in [
             HistogramVariant::PerDimension,
             HistogramVariant::Grid { delta: 1 },
         ] {
             for scan in [ScanMode::Sequential, ScanMode::Sorted] {
                 out.push(CombinedConfig {
-                    order,
+                    stages,
                     histogram,
                     qgram_q: 1,
                     max_triangle: 16,
@@ -146,7 +146,7 @@ fn combined_batch_equals_per_query_for_every_configuration() {
             assert_batch_equals_per_query(&engine, &queries, 5, &label);
             // The signature index needs q-gram means next to the
             // histograms, which only the three-filter orders embed.
-            if PruneOrder::ALL.contains(&config.order) {
+            if FILTER_ORDERS.contains(&config.stages) {
                 let indexed = CombinedKnn::build(&db, e, config).with_index();
                 let label = format!("{} t={threads}", indexed.name());
                 assert_batch_equals_per_query(&indexed, &queries, 5, &label);
@@ -164,7 +164,7 @@ fn combined_batch_equals_per_query_with_coarse_grids_and_varied_k() {
     let queries: Vec<Trajectory2> = random_db(55, 6, 16).trajectories().to_vec();
     let e = eps(0.5);
     let config = CombinedConfig {
-        order: PruneOrder::HQN,
+        stages: &[Stage::Histogram, Stage::Qgram, Stage::Triangle],
         histogram: HistogramVariant::Grid { delta: 2 },
         qgram_q: 2,
         max_triangle: 12,

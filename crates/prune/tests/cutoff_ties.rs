@@ -6,7 +6,8 @@
 
 use trajsim_core::{Dataset, MatchThreshold, Trajectory2};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, PruneOrder, ScanMode, SequentialScan,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, ScanMode, SequentialScan, Stage,
+    FILTER_ORDERS,
 };
 
 fn eps(v: f64) -> MatchThreshold {
@@ -37,18 +38,18 @@ fn walk(seed: u64, x: f64, y: f64, len: usize) -> Trajectory2 {
 /// Fig. 11, histogram alone and near-triangle alone) × HSE/HSR ×
 /// grid/per-dimension histograms.
 fn configs() -> Vec<CombinedConfig> {
-    let orders = PruneOrder::ALL
+    let orders = FILTER_ORDERS
         .into_iter()
-        .chain([PruneOrder::H, PruneOrder::N]);
+        .chain([&[Stage::Histogram] as &[Stage], &[Stage::Triangle]]);
     let mut out = Vec::new();
-    for order in orders {
+    for stages in orders {
         for scan in [ScanMode::Sequential, ScanMode::Sorted] {
             for histogram in [
                 HistogramVariant::Grid { delta: 1 },
                 HistogramVariant::PerDimension,
             ] {
                 out.push(CombinedConfig {
-                    order,
+                    stages,
                     histogram,
                     qgram_q: 1,
                     max_triangle: 6,

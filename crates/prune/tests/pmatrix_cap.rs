@@ -14,7 +14,7 @@ use trajsim_core::{Dataset, MatchThreshold, Trajectory2, TrajectoryArena};
 use trajsim_distance::edr_naive;
 use trajsim_prune::{
     build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, KnnResult, Neighbor,
-    PruneOrder, ScanMode,
+    ScanMode, Stage, FILTER_ORDERS,
 };
 
 const REFERENCES: usize = 12;
@@ -115,10 +115,13 @@ fn capped_pmatrix_gives_the_exact_matrix_answers_and_counters() {
     assert!(queries.iter().any(|q| q.len() > longest));
 
     let mut triangle_prunes = 0;
-    for order in [PruneOrder::N].into_iter().chain(PruneOrder::ALL) {
+    for stages in [&[Stage::Triangle] as &[Stage]]
+        .into_iter()
+        .chain(FILTER_ORDERS)
+    {
         for scan in [ScanMode::Sequential, ScanMode::Sorted] {
             let config = CombinedConfig {
-                order,
+                stages,
                 histogram: HistogramVariant::PerDimension,
                 qgram_q: 1,
                 max_triangle: REFERENCES,

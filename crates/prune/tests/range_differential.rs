@@ -13,8 +13,8 @@ use rand::{Rng, SeedableRng};
 use trajsim_core::{Dataset, MatchThreshold, Trajectory2, TrajectoryArena};
 use trajsim_distance::edr_naive;
 use trajsim_prune::{
-    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, KnnResult, PruneOrder,
-    ScanMode, Stage,
+    build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, KnnResult, ScanMode,
+    Stage, FILTER_ORDERS,
 };
 
 fn eps(v: f64) -> MatchThreshold {
@@ -122,9 +122,13 @@ fn assert_exact(
 
 /// The six orders of all three filters, plus histogram, near-triangle
 /// and q-gram pruning alone.
-fn every_order() -> Vec<PruneOrder> {
-    let mut orders = PruneOrder::ALL.to_vec();
-    orders.extend([PruneOrder::H, PruneOrder::N, PruneOrder::Q]);
+fn every_order() -> Vec<&'static [Stage]> {
+    let mut orders = FILTER_ORDERS.to_vec();
+    orders.extend([
+        &[Stage::Histogram] as &[Stage],
+        &[Stage::Triangle],
+        &[Stage::Qgram],
+    ]);
     orders
 }
 
@@ -144,7 +148,7 @@ fn range_matches_the_naive_pass_for_every_configuration() {
     let db = walks(1);
     let qs = queries(&db, 2);
     let e = eps(0.3);
-    for order in every_order() {
+    for stages in every_order() {
         for scan in [ScanMode::Sequential, ScanMode::Sorted] {
             for histogram in [
                 HistogramVariant::Grid { delta: 1 },
@@ -152,7 +156,7 @@ fn range_matches_the_naive_pass_for_every_configuration() {
                 HistogramVariant::PerDimension,
             ] {
                 let config = CombinedConfig {
-                    order,
+                    stages,
                     histogram,
                     qgram_q: 1,
                     max_triangle: 8,
@@ -199,11 +203,16 @@ fn range_at_zero_epsilon_uses_the_histogram_free_cascade() {
     // The q-gram filter alone over an HSE scan: Theorem 1 needs no
     // histogram, so it prunes at ε = 0 too.
     let qgram_only = CombinedConfig {
-        order: PruneOrder::Q,
+        stages: &[Stage::Qgram],
         scan: ScanMode::Sequential,
         ..CombinedConfig::default()
     };
-    let mut configs = vec![qgram_only];
+    // No filter at all, as `trajsim range` runs at ε = 0.
+    let no_filter = CombinedConfig {
+        stages: &[],
+        ..qgram_only
+    };
+    let mut configs = vec![qgram_only, no_filter];
     configs.extend([0, 8].map(CombinedConfig::near_triangle_only));
     for config in configs {
         assert_exact(&CombinedKnn::build(&db, e, config), &db, e, &qs);
@@ -235,11 +244,11 @@ fn range_below_the_length_gap_is_exact_on_the_capped_pmatrix() {
     let mut rng = StdRng::seed_from_u64(8);
     let qs = [walk(&mut rng, 0.0, 0.0, 45), walk(&mut rng, 30.0, 30.0, 45)];
     let mut credit_differs = 0;
-    let triangle = |o: &PruneOrder| o.filters().contains(&Stage::Triangle);
-    for order in every_order().into_iter().filter(triangle) {
+    let triangle = |stages: &&[Stage]| stages.contains(&Stage::Triangle);
+    for stages in every_order().into_iter().filter(triangle) {
         for scan in [ScanMode::Sequential, ScanMode::Sorted] {
             let config = CombinedConfig {
-                order,
+                stages,
                 histogram: HistogramVariant::PerDimension,
                 qgram_q: 1,
                 max_triangle: references,
@@ -282,9 +291,9 @@ fn finds_exactly_the_in_range_trajectories() {
     ]);
     let q = Trajectory2::from_xy(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
     let e = eps(0.25);
-    for order in every_order() {
+    for stages in every_order() {
         let config = CombinedConfig {
-            order,
+            stages,
             max_triangle: 2,
             ..CombinedConfig::default()
         };
@@ -327,15 +336,15 @@ proptest! {
         let query = random_db(seed + 123, 1, 12).trajectories()[0].clone();
         let e = eps(e);
         let want = naive(&db, e, &query, radius);
-        for order in every_order() {
+        for stages in every_order() {
             let config = CombinedConfig {
-                order,
+                stages,
                 qgram_q: q,
                 max_triangle: 6,
                 ..CombinedConfig::default()
             };
             let engine = CombinedKnn::build(&db, e, config);
-            prop_assert_eq!(range(&engine, &query, radius), want.clone(), "{:?}", order);
+            prop_assert_eq!(range(&engine, &query, radius), want.clone(), "{:?}", stages);
         }
     }
 }

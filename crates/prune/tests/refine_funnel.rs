@@ -22,8 +22,8 @@ use trajsim_core::{max_std_dev, Dataset, MatchThreshold, Trajectory2};
 use trajsim_data::nhl_like;
 use trajsim_prune::cse::{pairwise_edr_matrix, CseKnn};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, KnnResult, PruneOrder, QgramKnn,
-    QgramVariant, ScanMode, Stage,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, KnnResult, QgramKnn, QgramVariant,
+    ScanMode, Stage, FILTER_ORDERS,
 };
 
 const DATABASE: usize = 120;
@@ -152,9 +152,9 @@ fn funnels(db: &Dataset<2>, queries: &[Trajectory2], eps: MatchThreshold) -> Vec
         HistogramVariant::Grid { delta: 1 },
         HistogramVariant::PerDimension,
     ] {
-        for order in PruneOrder::ALL {
+        for stages in FILTER_ORDERS {
             let config = CombinedConfig {
-                order,
+                stages,
                 histogram,
                 qgram_q: 1,
                 max_triangle: REFERENCES,

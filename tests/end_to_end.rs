@@ -6,7 +6,7 @@ use trajsim::data;
 use trajsim::distance::Measure;
 use trajsim::eval;
 use trajsim::prelude::*;
-use trajsim::prune::{CombinedConfig, HistogramVariant, PruneOrder, QgramVariant, ScanMode};
+use trajsim::prune::{CombinedConfig, HistogramVariant, QgramVariant, ScanMode, Stage};
 
 fn small_nhl() -> Dataset<2> {
     data::nhl_like(11, 150).normalize()
@@ -68,7 +68,7 @@ fn every_engine_agrees_with_sequential_scan() {
             &db,
             eps,
             CombinedConfig {
-                order: PruneOrder::NQH,
+                stages: &[Stage::Triangle, Stage::Qgram, Stage::Histogram],
                 histogram: HistogramVariant::Grid { delta: 2 },
                 qgram_q: 2,
                 max_triangle: 10,
