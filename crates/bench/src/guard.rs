@@ -222,9 +222,12 @@ fn measure(cases: Vec<Case<'_>>, anchor: &str, suite: &str, cfg: &GuardConfig) -
 ///   allocation (the pre-workspace behaviour) against the reused
 ///   query-scoped workspace over arena views (anchor: the allocating
 ///   path at the longest length), so the allocation-free path's
-///   advantage is itself guarded; `refine_bounded_*` times the bounded
-///   refine (`QueryContext::edr_within_counted` at a k-th best bound on
-///   normalized walks), the sliding-band kernel with rank-mask words.
+///   advantage is itself guarded; `refine_exact_*` times the pruning
+///   engines' exact refine on the same pairs
+///   (`QueryContext::edr_within_counted` under `usize::MAX`, its lanes
+///   the work counter), and `refine_bounded_*` the bounded refine (the
+///   same call at a k-th best bound on normalized walks), both the
+///   sliding-band kernel with rank-mask words.
 /// - `throughput` times a fixed k-NN workload of the combined engine end
 ///   to end through `knn_batch` at batch sizes 1, 16 and 256 against one
 ///   parallel task per query over the whole workload (the anchor): a
@@ -457,6 +460,30 @@ fn run_refine(cfg: &GuardConfig) -> SuiteRun {
                     }
                 }
                 None
+            }),
+        });
+        let mut exact_ws = EdrWorkspace::with_capacity(arena.max_len());
+        let exact_ctx = QueryContext::new(arena.view(0), *eps);
+        cases.push(Case {
+            name: format!("refine_exact_{len}"),
+            // The pruning engines' exact refine (before the top-k fills,
+            // and for reference-pool ids): the same pairs as
+            // `refine_ws_*`, on the band kernel under an unbounded bound.
+            // Its summed lanes are the work counter `--check` holds
+            // exactly (on these equal-length pairs they equal the full
+            // DP's; `refine_kernels.rs` tells the kernels apart).
+            work: Box::new(move || {
+                let mut stats = QueryStats::default();
+                for _ in 0..reps {
+                    for (_, s) in arena.views() {
+                        let (d, cells) = exact_ctx.edr_within_counted(s, usize::MAX, &mut exact_ws);
+                        std::hint::black_box(d);
+                        stats.database_size += 1;
+                        stats.edr_computed += 1;
+                        stats.dp_cells += cells;
+                    }
+                }
+                Some(stats)
             }),
         });
         let mut bounded_ws = EdrWorkspace::with_capacity(arena.max_len());
@@ -1213,6 +1240,14 @@ mod tests {
                 "workspace path ({ws:.6}s) much slower than allocating \
                  path ({alloc:.6}s) at len {len}"
             );
+            let exact = run
+                .cases
+                .iter()
+                .find(|c| c.name == format!("refine_exact_{len}"))
+                .and_then(|c| c.stats.as_ref())
+                .expect("the exact refine carries its lanes");
+            assert!(exact.dp_cells > 0);
+            assert_eq!(exact.edr_computed, exact.database_size);
         }
     }
 

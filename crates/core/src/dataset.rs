@@ -11,9 +11,25 @@ pub struct Dataset<const D: usize> {
 }
 
 impl<const D: usize> Dataset<D> {
-    /// Creates a dataset from a vector of trajectories.
+    /// Creates a dataset from a vector of trajectories, unchecked; use
+    /// [`Dataset::try_new`] for data that may hold non-finite values.
     pub fn new(trajectories: Vec<Trajectory<D>>) -> Self {
         Dataset { trajectories }
+    }
+
+    /// Creates a dataset, rejecting non-finite coordinates: a NaN or
+    /// infinite value has no place in an ε-match (Definition 1), and
+    /// normalizing it would spread it over its whole dimension.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NonFiniteValue`] carrying the id of the first
+    /// trajectory that holds a NaN, +inf or −inf coordinate.
+    pub fn try_new(trajectories: Vec<Trajectory<D>>) -> Result<Self> {
+        match trajectories.iter().position(|t| !t.is_finite()) {
+            Some(index) => Err(CoreError::NonFiniteValue { index }),
+            None => Ok(Dataset::new(trajectories)),
+        }
     }
 
     /// Number of trajectories in the database (the paper's `N`).
@@ -238,6 +254,20 @@ mod tests {
         assert_eq!(ds.get(2), None);
         assert_eq!(ds.max_len(), 2);
         assert_eq!(ds.iter().count(), 2);
+    }
+
+    #[test]
+    fn try_new_rejects_non_finite_coordinates() {
+        assert_eq!(
+            Dataset::try_new(vec![traj(0.0), traj(1.0)]),
+            Ok(Dataset::new(vec![traj(0.0), traj(1.0)]))
+        );
+        assert_eq!(Dataset::<2>::try_new(Vec::new()), Ok(Dataset::default()));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let poisoned = Trajectory2::from_xy(&[(0.0, 0.0), (1.0, bad)]);
+            let got = Dataset::try_new(vec![traj(0.0), traj(1.0), poisoned]);
+            assert_eq!(got, Err(CoreError::NonFiniteValue { index: 2 }), "{bad}");
+        }
     }
 
     #[test]

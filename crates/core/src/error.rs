@@ -36,10 +36,12 @@ pub enum CoreError {
         /// Human-readable description of the constraint that was violated.
         reason: &'static str,
     },
-    /// A coordinate was NaN, which has no place in a matching threshold
-    /// comparison (Definition 1 needs a total order on |difference|).
+    /// A coordinate was NaN or infinite, which has no place in a matching
+    /// threshold comparison (Definition 1 needs a total order on
+    /// |difference|).
     NonFiniteValue {
-        /// Index of the element containing the non-finite coordinate.
+        /// Index of the element containing the non-finite coordinate: the
+        /// trajectory id for [`crate::Dataset::try_new`].
         index: usize,
     },
 }

@@ -174,6 +174,10 @@ impl<const D: usize> Trajectory<D> {
     ///
     /// Dimensions with zero standard deviation (a coordinate that never
     /// changes) are mapped to identically zero rather than dividing by zero.
+    /// Non-finite data stays non-finite: a NaN or infinite coordinate
+    /// makes its dimension's σ NaN, and that dimension normalizes to NaN
+    /// rather than to a plausible-looking zero
+    /// ([`crate::Dataset::try_new`] rejects such data up front).
     ///
     /// An empty trajectory normalizes to an empty trajectory.
     #[must_use]
@@ -190,10 +194,10 @@ impl<const D: usize> Trajectory<D> {
             .map(|p| {
                 let mut q = Point::<D>::origin();
                 for k in 0..D {
-                    q[k] = if sigma[k] > 0.0 {
-                        (p[k] - mu[k]) / sigma[k]
-                    } else {
+                    q[k] = if sigma[k] == 0.0 {
                         0.0
+                    } else {
+                        (p[k] - mu[k]) / sigma[k]
                     };
                 }
                 q
@@ -371,6 +375,22 @@ mod tests {
         for (a, b) in n1.iter().zip(n2.iter()) {
             assert!((a.x() - b.x()).abs() < 1e-9);
             assert!((a.y() - b.y()).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn normalization_keeps_non_finite_data_non_finite() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let t = Trajectory2::from_xy(&[(0.0, 1.0), (bad, 2.0), (4.0, 3.0)]);
+            let n = t.normalize();
+            // The poisoned dimension is not silently zeroed ...
+            assert!(n.iter().all(|p| p.x().is_nan()), "{bad}: {n:?}");
+            assert!(!n.is_finite());
+            // ... and the clean one normalizes as usual.
+            let clean = Trajectory2::from_xy(&[(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]).normalize();
+            for (a, b) in n.iter().zip(clean.iter()) {
+                assert_eq!(a.y(), b.y());
+            }
         }
     }
 

@@ -58,18 +58,22 @@
 //! reference path.
 //!
 //! Full distances take one of two routes. The exact offline EDR matrices
-//! — the CSE pairwise matrix and the evaluation `DistanceMatrix` — call
-//! [`QueryContext::edr_within`](crate::QueryContext::edr_within) with an
-//! unbounded bound: the sliding band never abandons
-//! then, so it returns the exact distance and reads the target diagonal
-//! in its last column only. The near-triangle pmatrix calls it under
-//! `L − |S|` (see `build_pmatrix` in `trajsim-prune`).
+//! — the CSE pairwise matrix and the evaluation `DistanceMatrix` — and
+//! the pruning engines' exact refines (the first k of each query, before
+//! its top-k fills, and every id that joins a triangle or CSE reference
+//! pool) call
+//! [`QueryContext::edr_within_counted`](crate::QueryContext::edr_within_counted)
+//! with an unbounded bound: the sliding band never abandons then, so it
+//! returns the exact distance and reads the target diagonal in its last
+//! column only. The near-triangle pmatrix calls it under `L − |S|` (see
+//! `build_pmatrix` in `trajsim-prune`).
+//! [`QueryContext::edr_counted`](crate::QueryContext::edr_counted),
 //! [`QueryContext::edr`](crate::QueryContext::edr) and the free `edr`
-//! stay on the bit-parallel kernel's compare-built words: the plain
-//! `SequentialScan` (and the first-k and reference-pool refines of the
-//! pruning engines) run on it, and the scan's time is the denominator of
-//! every speed-up the benchmarks report, so it moves only together with a
-//! benchmark that reports absolute refine time.
+//! stay on the bit-parallel kernel's compare-built words. Of the engines
+//! only the plain `SequentialScan` runs them, on every candidate: its
+//! time is the denominator of every speed-up the benchmarks report, so
+//! it moves only together with a benchmark that reports absolute refine
+//! time.
 
 use crate::workspace::EdrWorkspace;
 use trajsim_core::{CoordSeq, MatchThreshold, Point, Trajectory};

@@ -248,10 +248,11 @@ impl<const D: usize> QueryContext<D> {
 
     /// `EDR(query, candidate)` with DP-cell accounting, on borrowed
     /// scratch: the bit-parallel full DP, every match word built by
-    /// compares. The reference `SequentialScan` runs on it, so the
-    /// baseline every engine's speed-up is measured against stays put;
-    /// [`QueryContext::edr_within`] under `usize::MAX` is the faster route
-    /// to the same value.
+    /// compares. Of the k-NN engines only the plain `SequentialScan` runs
+    /// on it, so the baseline every engine's speed-up is measured against
+    /// stays put; the pruning engines' exact refines take
+    /// [`QueryContext::edr_within_counted`] under `usize::MAX`, the faster
+    /// route to the same value.
     pub fn edr_counted<S: CoordSeq<D>>(&self, candidate: S, ws: &mut EdrWorkspace) -> (usize, u64) {
         crate::edr_counted_with(self, candidate, self.eps, ws)
     }
@@ -265,12 +266,13 @@ impl<const D: usize> QueryContext<D> {
     /// [`crate::edr_within_counted_with`], with the query's rank masks
     /// building the sliding-band kernel's match words whatever the
     /// lengths (compares build them, the shorter side the pattern, only
-    /// for a non-finite query or one longer than 1 024 points). The
-    /// pruning engines' bounded refines, range queries, the
+    /// for a non-finite query or one longer than 1 024 points). Every
+    /// refine of the pruning engines and range queries, the
     /// early-abandoning scans and the offline matrices all run here: the
-    /// near-triangle pmatrix under `L − |S|`, the exact CSE and
-    /// evaluation matrices under `usize::MAX`, which never abandons and
-    /// gives [`QueryContext::edr`]'s value.
+    /// near-triangle pmatrix under `L − |S|`; the exact CSE and
+    /// evaluation matrices, and the engines' exact refines (before the
+    /// top-k fills, reference-pool ids), under `usize::MAX`, which never
+    /// abandons and gives [`QueryContext::edr`]'s value.
     pub fn edr_within_counted<S: CoordSeq<D>>(
         &self,
         candidate: S,

@@ -131,8 +131,13 @@ impl StageStats {
 /// each pruning filter (with candidate flow), and the EDR refinement of
 /// whatever survived. Stages an engine does not run stay zero.
 ///
-/// Serial engines measure wall time directly. The parallel sequential scan
-/// reports `refine_ns` as busy time *summed across workers*, so it can
+/// Serial engines measure wall time directly, each part inside the
+/// query's clock, so on every per-query path (the serial scan, `QgramKnn`,
+/// `CseKnn`, every `CombinedKnn` stage list and `range`) the parts sum to
+/// at most `total_ns` and [`Self::other_ns`] never saturates
+/// (`tests/refine_kernels.rs` pins it). The exceptions are the parallel
+/// and batched sequential scans: they report `refine_ns` as worker busy
+/// time *summed across workers* (amortized over the batch), so it can
 /// exceed `total_ns` (which is always wall time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimings {
@@ -327,11 +332,12 @@ pub struct QueryStats {
     /// DP cells the EDR kernels materialized answering this query — the
     /// work the pruning saved shows up here as *missing* cells (cf. the
     /// kernel accounting in `trajsim-distance::kernel`). The bit-vector
-    /// kernels count 64 lanes per word per DP row they process: a full DP
-    /// counts `64·⌈n/64⌉` per row, a bounded refine `64·⌈(2·bound+1)/64⌉`
-    /// (never more than the full DP). So a narrow bounded refine counts
-    /// more lanes than the band cells a scalar DP would fill, while it
-    /// takes less time.
+    /// kernels count 64 lanes per word per DP row they process: the scan's
+    /// full DP counts `64·⌈n/64⌉` per row (`n` the shorter side), an
+    /// engine's refine `64·⌈(2·bound+1)/64⌉`, capped at the query's words
+    /// (so an exact refine against a shorter candidate can count more
+    /// than the full DP). A narrow bounded refine counts more lanes than
+    /// the band cells a scalar DP would fill, while it takes less time.
     pub dp_cells: u64,
     /// Per-stage wall-time breakdown and per-filter candidate flow.
     pub timings: StageTimings,
@@ -706,7 +712,7 @@ impl ResultSet {
 
     /// The refine bound that keeps exactly the distances that can still
     /// enter: `cutoff − 1`, saturating at 0 (the O(m) pointwise check),
-    /// or `usize::MAX` — the full DP — while the set is not full.
+    /// or `usize::MAX` — the exact refine — while the set is not full.
     pub(crate) fn admission_bound(&self) -> usize {
         match self.cutoff() {
             usize::MAX => usize::MAX,
@@ -748,14 +754,28 @@ impl ResultSet {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Refine {
     timed: bool,
+    kernel: Kernel,
     pub(crate) edr_computed: usize,
     pub(crate) dp_cells: u64,
     pub(crate) refine_ns: u64,
 }
 
+/// The DP a [`Refine`] runs, fixed when the step is built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Kernel {
+    /// [`QueryContext::edr_within_counted`] under the step's bound: the
+    /// rank-mask band kernel, exact under `usize::MAX`.
+    #[default]
+    Band,
+    /// [`QueryContext::edr_counted`], the compare-built full DP, whatever
+    /// the bound: the plain `SequentialScan` alone, whose time is the
+    /// denominator of every speed-up the benchmarks report.
+    FullDp,
+}
+
 impl Refine {
-    /// A step that times every refine (engines that interleave filters
-    /// with refines).
+    /// The pruning engines' step: every refine on the band kernel, timed
+    /// one by one (the engines interleave filters with refines).
     pub(crate) fn timed() -> Self {
         Refine {
             timed: true,
@@ -763,27 +783,38 @@ impl Refine {
         }
     }
 
-    /// A step that leaves `refine_ns` at zero: the scans, whose whole loop
-    /// is refinement, time the loop instead (two clock reads per query
-    /// rather than per candidate).
-    pub(crate) fn untimed() -> Self {
-        Refine::default()
+    /// The sequential scan's step: the compare-built full DP for the
+    /// plain scan, the band kernel under the running bound with early
+    /// abandoning. It leaves `refine_ns` at zero: the scans, whose whole
+    /// loop is refinement, time the loop instead (two clock reads per
+    /// query rather than per candidate).
+    pub(crate) fn scan(early_abandon: bool) -> Self {
+        Refine {
+            kernel: if early_abandon {
+                Kernel::Band
+            } else {
+                Kernel::FullDp
+            },
+            ..Refine::default()
+        }
     }
 
     /// Computes `EDR(query, candidate)` under `bound` and offers it to
     /// `result`, returning the distance if the DP produced one.
     ///
-    /// `bound == usize::MAX` runs the full DP: pass it while the top-k is
-    /// not yet full, and whenever the caller needs the exact distance (an
-    /// id joining a triangle/CSE reference pool). Any other bound runs the
-    /// early-abandoning DP, which returns every `d <= bound` exactly and
-    /// `None` above it. The pruning engines pass
+    /// On the band kernel, `bound == usize::MAX` never abandons and gives
+    /// the exact distance: pass it while the top-k is not yet full, and
+    /// whenever the caller needs the exact distance (an id joining a
+    /// triangle/CSE reference pool). Any other bound returns every
+    /// `d <= bound` exactly and `None` above it. The pruning engines pass
     /// [`ResultSet::admission_bound`], `cutoff − 1`: once the set is full,
     /// [`ResultSet::offer`] is stable and drops every `d >= cutoff`, so
     /// each offer that can change the answer is the same as the full
-    /// DP's, and a bound of 0 is the O(m) pointwise check. The sequential
-    /// scan passes the cutoff itself (see `SequentialScan`). Either way
-    /// the call counts as one true-distance computation.
+    /// DP's, and a bound of 0 is the O(m) pointwise check. The
+    /// early-abandoning scan passes the cutoff itself (see
+    /// `SequentialScan`). A [`Refine::scan`] step of the plain scan runs
+    /// the full DP and ignores the bound. Either way the call counts as
+    /// one true-distance computation.
     #[inline]
     pub(crate) fn step<const D: usize, S: CoordSeq<D>>(
         &mut self,
@@ -795,11 +826,12 @@ impl Refine {
         ws: &mut EdrWorkspace,
     ) -> Option<usize> {
         let started = self.timed.then(Instant::now);
-        let (d, cells) = if bound == usize::MAX {
-            let (d, cells) = ctx.edr_counted(candidate, ws);
-            (Some(d), cells)
-        } else {
-            ctx.edr_within_counted(candidate, bound, ws)
+        let (d, cells) = match self.kernel {
+            Kernel::FullDp => {
+                let (d, cells) = ctx.edr_counted(candidate, ws);
+                (Some(d), cells)
+            }
+            Kernel::Band => ctx.edr_within_counted(candidate, bound, ws),
         };
         if let Some(t) = started {
             self.refine_ns += elapsed_ns(t);

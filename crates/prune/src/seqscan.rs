@@ -19,13 +19,16 @@ use trajsim_distance::{with_workspace, BatchContext, EdrWorkspace, QueryContext}
 /// runs on reused [`EdrWorkspace`] scratch, so after the first few calls
 /// the scan performs no heap allocation per candidate.
 ///
-/// By default every distance is a full DP, as in the paper's sequential
-/// scan. Two extensions the paper does not use, quantified by the
+/// By default every distance is the compare-built full DP
+/// ([`QueryContext::edr_counted`]), as in the paper's sequential scan.
+/// No pruning engine runs that kernel, so no engine change moves the
+/// scan's time, the denominator of every speed-up the benchmarks
+/// report. Two extensions the paper does not use, quantified by the
 /// ablation bench:
 ///
 /// - [`SequentialScan::with_early_abandon`] switches the true-distance
-///   computation to [`trajsim_distance::edr_within`] with the running
-///   k-th-best bound;
+///   computation to [`QueryContext::edr_within_counted`] with the
+///   running k-th-best bound (unbounded until k candidates are in);
 /// - [`SequentialScan::with_parallel`] splits a single query's scan over
 ///   the database across threads (dynamic chunking; a shared atomic
 ///   best-k bound feeds the early-abandon cutoff across workers; one
@@ -111,7 +114,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
         // The whole scan is refinement: one stopwatch around the loop
         // keeps the instrumentation overhead at two clock reads per query.
         let t_refine = Instant::now();
-        let mut refine = Refine::untimed();
+        let mut refine = Refine::scan(self.early_abandon);
         with_workspace(|ws| {
             for (id, s) in self.arena.views() {
                 let bound = self.bound(result.cutoff());
@@ -128,7 +131,8 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
 
     /// The refine bound for a candidate: the k-th best seen so far with
     /// early abandoning (anything above it cannot enter the result, so a
-    /// cut-off DP suffices), `usize::MAX` — the full DP — without. It is
+    /// cut-off DP suffices), `usize::MAX` without, where
+    /// [`Refine::scan`] runs the full DP whatever the bound. It is
     /// the cutoff itself, not the pruning engines' `cutoff − 1`: in the
     /// parallel paths the bound is shared across workers, and a candidate
     /// tying it can still belong in the answer ahead of a higher id that
@@ -168,7 +172,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
             |ws, _, &(start, end)| {
                 let t_chunk = Instant::now();
                 let mut local = ResultSet::new(k);
-                let mut refine = Refine::untimed();
+                let mut refine = Refine::scan(self.early_abandon);
                 for id in start..end {
                     let best = shared_bound.load(Ordering::Relaxed).min(local.cutoff());
                     refine.step(
@@ -234,7 +238,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
             |ws, range| {
                 let t_chunk = Instant::now();
                 let mut locals: Vec<ResultSet> = (0..nq).map(|_| ResultSet::new(k)).collect();
-                let mut refines = vec![Refine::untimed(); nq];
+                let mut refines = vec![Refine::scan(self.early_abandon); nq];
                 for (id, s) in self.arena.views_in(range) {
                     // One arena-block load serves the whole batch.
                     for (qi, ctx) in batch.contexts().iter().enumerate() {
