@@ -44,7 +44,8 @@ impl<const D: usize> Point<D> {
     }
 
     /// Definition 1: `self` and `other` match iff every coordinate differs
-    /// by at most ε.
+    /// by at most ε. A NaN coordinate never matches, since `NaN <= ε` is
+    /// false. The check runs without an early return.
     ///
     /// ```
     /// use trajsim_core::{Point2, MatchThreshold};
@@ -56,12 +57,11 @@ impl<const D: usize> Point<D> {
     #[inline]
     pub fn matches(&self, other: &Self, eps: MatchThreshold) -> bool {
         let e = eps.value();
+        let mut hit = true;
         for k in 0..D {
-            if (self.0[k] - other.0[k]).abs() > e {
-                return false;
-            }
+            hit &= (self.0[k] - other.0[k]).abs() <= e;
         }
-        true
+        hit
     }
 
     /// Squared Euclidean distance between two points.
@@ -251,6 +251,24 @@ mod tests {
         // Definition 1 uses per-coordinate comparison, not L2.
         assert!(a.matches(&Point2::xy(1.0, 1.0), eps(1.0)));
         assert!(!a.matches(&Point2::xy(0.0, 1.01), eps(1.0)));
+    }
+
+    #[test]
+    fn nan_never_matches() {
+        let nan = f64::NAN;
+        let a = Point2::xy(0.0, 0.0);
+        for p in [
+            Point2::xy(nan, 0.0),
+            Point2::xy(0.0, nan),
+            Point2::xy(nan, nan),
+        ] {
+            assert!(!a.matches(&p, eps(1e9)));
+            assert!(!p.matches(&a, eps(1e9)));
+            assert!(!p.matches(&p, eps(1e9)), "not even itself");
+        }
+        // ∞ − ∞ is NaN, so infinite coordinates do not match either.
+        let inf = Point1::from(f64::INFINITY);
+        assert!(!inf.matches(&inf, eps(1.0)));
     }
 
     #[test]

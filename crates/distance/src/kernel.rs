@@ -78,9 +78,9 @@
 use crate::workspace::EdrWorkspace;
 use trajsim_core::{CoordSeq, MatchThreshold, Point, Trajectory};
 
-/// Branch-free ε-match: 1 iff every coordinate differs by at most `e`
-/// (mirrors [`Point::matches`], including its NaN-never-matches
-/// behavior, without the early return).
+/// Branch-free ε-match: 1 iff every coordinate differs by at most `e`,
+/// so a NaN coordinate never matches. It decides exactly as
+/// [`Point::matches`] does, on coordinate sequences.
 #[inline(always)]
 pub(crate) fn coord_match<const D: usize, A: CoordSeq<D>, B: CoordSeq<D>>(
     a: A,

@@ -73,6 +73,29 @@ mod tests {
         assert_eq!(lcss_distance(&s, &s, eps(0.0)), 0.0);
     }
 
+    /// LCSS and EDR share Definition 1's matching, so a NaN coordinate
+    /// never matches in either: one-point pairs score `lcss = 1 − edr`.
+    #[test]
+    fn nan_never_matches_as_in_edr() {
+        let nan = f64::NAN;
+        let points = [(0.0, 0.0), (nan, 0.0), (0.0, nan), (nan, nan)];
+        for &r in &points {
+            for &s in &points {
+                let (r, s) = (Trajectory2::from_xy(&[r]), Trajectory2::from_xy(&[s]));
+                let want = 1 - crate::edr_naive(&r, &s, eps(1.0));
+                assert_eq!(lcss(&r, &s, eps(1.0)), want, "{r:?} vs {s:?}");
+                assert_eq!(
+                    crate::edr(&r, &s, eps(1.0)),
+                    crate::edr_naive(&r, &s, eps(1.0))
+                );
+            }
+        }
+        // A NaN point does not even match itself.
+        let t = Trajectory2::from_xy(&[(0.0, 0.0), (1.0, nan), (2.0, 2.0)]);
+        assert_eq!(lcss(&t, &t, eps(1.0)), 2);
+        assert_eq!(crate::edr_naive(&t, &t, eps(1.0)), 1);
+    }
+
     #[test]
     fn empty_cases() {
         let empty = Trajectory1::default();

@@ -62,38 +62,122 @@ impl<const D: usize> SortedMeans<D> {
     }
 
     /// Counts how many of `self`'s q-gram means have at least one
-    /// ε-matching mean in `other`, via a sort-merge join with a sliding
-    /// window on the first coordinate.
+    /// ε-matching mean in `other`.
     ///
     /// This count upper-bounds the number of common q-grams (every truly
     /// common q-gram's mean certainly matches, Theorem 2), so using it in
     /// Theorem 1's filter is sound.
+    ///
+    /// The join is witness-first. It picks one mean `w` of `other` near
+    /// the centroid of `self`'s means, and counts each mean of `self`
+    /// that ε-matches `w` with one check. Only the misses run the
+    /// sort-merge search: a sliding window over `other` on the first
+    /// coordinate. A counted mean has a verified match that its window
+    /// holds, and an uncounted one was searched in full, so the count is
+    /// exactly the merge join's. Where ε is narrow against the spread of
+    /// `self`'s first coordinates, the witness could cover only a few
+    /// means and the join skips it.
     ///
     /// # Panics
     ///
     /// Panics if the two sides were built with different `q`.
     pub fn match_count(&self, other: &SortedMeans<D>, eps: MatchThreshold) -> usize {
         assert_eq!(self.q, other.q, "q-gram sizes differ");
-        let e = eps.value();
-        let (a, b) = (&self.means, &other.means);
-        let mut lo = 0usize;
-        let mut count = 0usize;
-        for qa in a {
-            // Advance the window start past candidates too small in dim 0.
-            while lo < b.len() && b[lo][0] < qa[0] - e {
-                lo += 1;
-            }
-            let mut j = lo;
-            while j < b.len() && b[j][0] <= qa[0] + e {
-                if qa.matches(&b[j], eps) {
-                    count += 1;
-                    break;
-                }
-                j += 1;
-            }
+        let (a, b) = (&self.means[..], &other.means[..]);
+        if a.is_empty() || b.is_empty() {
+            return 0;
         }
-        count
+        let mut lo = 0usize;
+        // Every mean the witness covers lies within ε of it in the first
+        // coordinate. When 2ε spans under half the interquartile range
+        // of those coordinates, that is a small share of `a`, and the
+        // pick and the checks cost more than their hits save.
+        let n = a.len();
+        if 4.0 * eps.value() < a[3 * n / 4][0] - a[n / 4][0] {
+            return a
+                .iter()
+                .filter(|qa| window_matches(qa, b, &mut lo, eps))
+                .count();
+        }
+        let w = witness(a, b);
+        a.iter()
+            .filter(|qa| qa.matches(&w, eps) || window_matches(qa, b, &mut lo, eps))
+            .count()
     }
+}
+
+/// The witness: of the few means of `b` whose first coordinates rank
+/// next to the centroid of an even sample of `a`, the one nearest to it
+/// in L∞. Both slices are non-empty and sorted by the first coordinate.
+fn witness<const D: usize>(a: &[Point<D>], b: &[Point<D>]) -> Point<D> {
+    /// How many means of `a` the centroid averages, at most.
+    const SAMPLES: usize = 8;
+    /// How many means of `b` the pick looks at, at most.
+    const PROBES: usize = 4;
+    let (mut sum, mut taken) = (Point::origin(), 0usize);
+    for p in a.iter().step_by(a.len().div_ceil(SAMPLES)) {
+        sum = sum + *p;
+        taken += 1;
+    }
+    let c = sum / taken as f64;
+    let mid = b.partition_point(|p| p[0] < c[0]);
+    let (mut left, mut right) = (mid, mid);
+    let (mut best, mut best_dist) = (mid.min(b.len() - 1), f64::INFINITY);
+    for _ in 0..PROBES {
+        // Stop once both sides are farther than the best in the first
+        // coordinate alone; otherwise step to the nearer side.
+        let gap_left = if left > 0 {
+            c[0] - b[left - 1][0]
+        } else {
+            f64::INFINITY
+        };
+        let gap_right = if right < b.len() {
+            b[right][0] - c[0]
+        } else {
+            f64::INFINITY
+        };
+        if gap_left.min(gap_right) >= best_dist {
+            break;
+        }
+        let j = if gap_left < gap_right {
+            left -= 1;
+            left
+        } else {
+            right += 1;
+            right - 1
+        };
+        let d = b[j].dist_linf(&c);
+        if d < best_dist {
+            (best, best_dist) = (j, d);
+        }
+    }
+    b[best]
+}
+
+/// The sort-merge search for `qa`: advances `lo` past the means of `b`
+/// more than ε below `qa` in the first coordinate, then scans the window
+/// up to ε above it for an ε-match. The means asked about must come in
+/// sorted order, since `lo` only moves forward.
+fn window_matches<const D: usize>(
+    qa: &Point<D>,
+    b: &[Point<D>],
+    lo: &mut usize,
+    eps: MatchThreshold,
+) -> bool {
+    let e = eps.value();
+    while *lo < b.len() && b[*lo][0] < qa[0] - e {
+        *lo += 1;
+    }
+    let top = qa[0] + e;
+    for p in &b[*lo..] {
+        if p[0] > top {
+            return false;
+        }
+        if qa.matches(p, eps) {
+            return true;
+        }
+    }
+    false
 }
 
 /// One-dimensional sorted q-gram means (the PS1 representation,
@@ -179,10 +263,85 @@ mod tests {
         MatchThreshold::new(v).unwrap()
     }
 
-    fn brute_match_count_2d(a: &[Point<2>], b: &[Point<2>], e: MatchThreshold) -> usize {
+    fn brute_match_count<const D: usize>(
+        a: &[Point<D>],
+        b: &[Point<D>],
+        e: MatchThreshold,
+    ) -> usize {
         a.iter()
             .filter(|qa| b.iter().any(|qb| qa.matches(qb, e)))
             .count()
+    }
+
+    /// Sorted means of `points` at `q` = 1: the points themselves.
+    fn means_of<const D: usize>(points: Vec<Point<D>>) -> SortedMeans<D> {
+        SortedMeans::build(&Trajectory::new(points), 1)
+    }
+
+    #[test]
+    fn wide_eps_witness_covers_everything() {
+        let a: Vec<Point<2>> = (0..40)
+            .map(|i| Point([f64::from(i % 7) - 3.0, f64::from(i % 5) - 2.0]))
+            .collect();
+        let b: Vec<Point<2>> = (0..30)
+            .map(|i| Point([f64::from(i % 6) - 2.5, f64::from(i % 4) - 1.5]))
+            .collect();
+        let (sa, sb) = (means_of(a.clone()), means_of(b.clone()));
+        let e = eps(100.0);
+        let w = witness(sa.means(), sb.means());
+        assert!(
+            a.iter().all(|p| p.matches(&w, e)),
+            "the witness alone covers a"
+        );
+        assert_eq!(sa.match_count(&sb, e), a.len());
+        assert_eq!(sa.match_count(&sb, e), brute_match_count(&a, &b, e));
+    }
+
+    #[test]
+    fn zero_eps_and_disjoint_sets_witness_covers_nothing() {
+        let a: Vec<Point<2>> = (0..20).map(|i| Point([f64::from(i), 0.5])).collect();
+        let b: Vec<Point<2>> = (0..20).map(|i| Point([f64::from(i), 1.5])).collect();
+        let (sa, sb) = (means_of(a.clone()), means_of(b.clone()));
+        let w = witness(sa.means(), sb.means());
+        for e in [eps(0.0), eps(0.5)] {
+            assert!(a.iter().all(|p| !p.matches(&w, e)));
+            assert_eq!(sa.match_count(&sb, e), 0);
+            assert_eq!(brute_match_count(&a, &b, e), 0);
+        }
+        // At ε = 0 only exact copies match, witness or not.
+        let mut c = b.clone();
+        c.extend_from_slice(&a[3..6]);
+        assert_eq!(sa.match_count(&means_of(c.clone()), eps(0.0)), 3);
+        assert_eq!(brute_match_count(&a, &c, eps(0.0)), 3);
+    }
+
+    #[test]
+    fn first_coordinates_exactly_eps_apart_still_match() {
+        let a = means_of(vec![Point([0.0, 0.0]), Point([0.5, 0.0])]);
+        let b = means_of(vec![Point([-1.0, 0.0]), Point([-2.0, 0.0])]);
+        assert_eq!(a.match_count(&b, eps(1.0)), 1);
+        assert_eq!(b.match_count(&a, eps(1.0)), 1);
+        assert_eq!(a.match_count(&b, eps(0.999)), 0);
+        assert_eq!(b.match_count(&a, eps(0.999)), 0);
+    }
+
+    #[test]
+    fn nan_mean_never_matches() {
+        let nan = f64::NAN;
+        // Sorting keys on the first coordinate only, so a NaN second
+        // coordinate builds; its mean matches nothing, not even itself.
+        // The NaN point comes last, where it enters one mean only.
+        let t = Trajectory2::from_xy(&[(1.0, 1.0), (2.0, 2.0), (0.0, nan)]);
+        let s = SortedMeans::build(&t, 1);
+        for e in [eps(0.0), eps(1.0), eps(1e9)] {
+            assert_eq!(s.match_count(&s, e), 2);
+            assert_eq!(brute_match_count(s.means(), s.means(), e), 2);
+        }
+        let u = SortedMeans::build(&Trajectory2::from_xy(&[(0.5, 0.5), (1.5, nan)]), 1);
+        for (x, y) in [(&s, &u), (&u, &s)] {
+            assert_eq!(x.match_count(y, eps(1.0)), 1);
+            assert_eq!(brute_match_count(x.means(), y.means(), eps(1.0)), 1);
+        }
     }
 
     #[test]
@@ -250,7 +409,7 @@ mod tests {
         ) {
             let (ta, tb) = (Trajectory2::from_xy(&a), Trajectory2::from_xy(&b));
             let (sa, sb) = (SortedMeans::build(&ta, q), SortedMeans::build(&tb, q));
-            let want = brute_match_count_2d(
+            let want = brute_match_count(
                 &crate::mean_value_qgrams(&ta, q),
                 &crate::mean_value_qgrams(&tb, q),
                 eps(e),
@@ -313,10 +472,62 @@ mod tests {
                 crate::mean_value_qgrams(&ta, q),
                 crate::mean_value_qgrams(&tb, q),
             );
-            let want = brute_match_count_2d(&ma, &mb, e);
+            let want = brute_match_count(&ma, &mb, e);
             prop_assert_eq!(sa.match_count(&sb, e), want);
-            let back = brute_match_count_2d(&mb, &ma, e);
+            let back = brute_match_count(&mb, &ma, e);
             prop_assert_eq!(sb.match_count(&sa, e), back);
+        }
+
+        /// Boundary ties against the witness: `b` holds one mean `w` on
+        /// the integer grid (and others far off in the first coordinate),
+        /// so the pick must take `w`, and the means of `a` lie on the
+        /// grid within ε + 1 of it, many exactly ε away.
+        #[test]
+        fn witness_boundary_ties_on_integer_grid(
+            w in (-3i8..=3, -3i8..=3),
+            offsets in proptest::collection::vec((-4i8..=4, -4i8..=4), 1..30),
+            far in proptest::collection::vec((-3i8..=3, -3i8..=3), 0..4),
+            e_steps in 1u8..4,
+        ) {
+            let e = f64::from(e_steps);
+            let w = Point([f64::from(w.0), f64::from(w.1)]);
+            let a: Vec<Point<2>> = offsets
+                .iter()
+                .map(|&(dx, dy)| {
+                    let clamp = |d: i8| f64::from(d).clamp(-e - 1.0, e + 1.0);
+                    Point([w[0] + clamp(dx), w[1] + clamp(dy)])
+                })
+                .collect();
+            let mut b = vec![w];
+            b.extend(far.iter().map(|&(x, y)| Point([1000.0 * f64::from(x.signum() | 1), f64::from(y)])));
+            let (sa, sb) = (means_of(a.clone()), means_of(b.clone()));
+            prop_assert_eq!(witness(sa.means(), sb.means()), w);
+            prop_assert_eq!(sa.match_count(&sb, eps(e)), brute_match_count(&a, &b, eps(e)));
+        }
+
+        /// The join is generic in `D`: one and three dimensions agree
+        /// with brute force too.
+        #[test]
+        fn join_agrees_with_brute_force_in_1d_and_3d(
+            a in proptest::collection::vec((-3i8..=3, -3i8..=3, -3i8..=3), 0..25),
+            b in proptest::collection::vec((-3i8..=3, -3i8..=3, -3i8..=3), 0..25),
+            e_steps in 0u8..4,
+        ) {
+            let e = eps(f64::from(e_steps) / 2.0);
+            let p3 = |v: &[(i8, i8, i8)]| -> Vec<Point<3>> {
+                v.iter()
+                    .map(|&(x, y, z)| Point([f64::from(x), f64::from(y) / 2.0, f64::from(z)]))
+                    .collect()
+            };
+            let (a3, b3) = (p3(&a), p3(&b));
+            let (sa, sb) = (means_of(a3.clone()), means_of(b3.clone()));
+            prop_assert_eq!(sa.match_count(&sb, e), brute_match_count(&a3, &b3, e));
+            let (a1, b1): (Vec<Point<1>>, Vec<Point<1>>) = (
+                a3.iter().map(|p| p.project(1)).collect(),
+                b3.iter().map(|p| p.project(1)).collect(),
+            );
+            let (sa, sb) = (means_of(a1.clone()), means_of(b1.clone()));
+            prop_assert_eq!(sa.match_count(&sb, e), brute_match_count(&a1, &b1, e));
         }
 
         /// The 2-d match count never exceeds the 1-d one (each 2-d match
