@@ -2,7 +2,7 @@
 //! `trajsim_bench::guard` and DESIGN.md §9).
 //!
 //! ```text
-//! bench_guard [--suite kernels|filters|refine|throughput|obs|art|all] [--runs N]
+//! bench_guard [--suite kernels|filters|refine|obs|art|all] [--runs N]
 //!             [--dir PATH] [--check] [--update] [--inject case:factor]
 //!             [--quick]
 //! ```
@@ -33,7 +33,7 @@ struct Cli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_guard [--suite kernels|filters|refine|throughput|obs|art|all] [--runs N]\n\
+        "usage: bench_guard [--suite kernels|filters|refine|obs|art|all] [--runs N]\n\
          \x20                  [--dir PATH] [--check] [--update] [--inject case:factor]\n\
          \x20                  [--quick]"
     );

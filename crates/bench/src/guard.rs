@@ -112,7 +112,7 @@ impl CaseResult {
 /// One full suite measurement: what `BENCH_<suite>.json` holds.
 #[derive(Debug, Clone)]
 pub struct SuiteRun {
-    /// Suite name (`kernels`, `filters`, `refine`, `throughput` or `obs`).
+    /// Suite name (`kernels`, `filters`, `refine`, `obs` or `art`).
     pub suite: String,
     /// Name of the anchor case every score is normalized by.
     pub anchor: String,
@@ -151,8 +151,8 @@ impl Default for GuardConfig {
     }
 }
 
-/// The six pinned suites.
-pub const SUITES: [&str; 6] = ["kernels", "filters", "refine", "throughput", "obs", "art"];
+/// The five pinned suites.
+pub const SUITES: [&str; 5] = ["kernels", "filters", "refine", "obs", "art"];
 
 struct Case<'a> {
     name: String,
@@ -228,11 +228,6 @@ fn measure(cases: Vec<Case<'_>>, anchor: &str, suite: &str, cfg: &GuardConfig) -
 ///   the work counter), and `refine_bounded_*` the bounded refine (the
 ///   same call at a k-th best bound on normalized walks), both the
 ///   sliding-band kernel with rank-mask words.
-/// - `throughput` times a fixed k-NN workload of the combined engine end
-///   to end through `knn_batch` at batch sizes 1, 16 and 256 against one
-///   parallel task per query over the whole workload (the anchor): a
-///   `batch_256` score of 1.0 means the batched path answers the same
-///   queries in the same wall time.
 /// - `obs` times the telemetry overhead: the same sequential-scan
 ///   workload with tracing off (the anchor), with a null sink at debug
 ///   level, and with the flight recorder serializing every query — the
@@ -254,11 +249,10 @@ pub fn run_suite(suite: &str, cfg: &GuardConfig) -> Result<SuiteRun, String> {
         "kernels" => Ok(run_kernels(cfg)),
         "filters" => Ok(run_filters(cfg)),
         "refine" => Ok(run_refine(cfg)),
-        "throughput" => Ok(run_throughput(cfg)),
         "obs" => Ok(run_obs(cfg)),
         "art" => Ok(run_art(cfg)),
         other => Err(format!(
-            "unknown suite {other:?} (kernels|filters|refine|throughput|obs|art)"
+            "unknown suite {other:?} (kernels|filters|refine|obs|art)"
         )),
     }
 }
@@ -501,70 +495,6 @@ fn run_refine(cfg: &GuardConfig) -> SuiteRun {
         });
     }
     measure(cases, &anchor, "refine", cfg)
-}
-
-fn run_throughput(cfg: &GuardConfig) -> SuiteRun {
-    // One workload, four schedules. The anchor runs one parallel task
-    // per query over the whole workload, and the batch_* cases feed the
-    // same queries through `knn_batch` in batches of 1, 16 and 256
-    // (clamped to the workload size). The combined engine answers a
-    // batch through the trait default — one parallel `knn` per query —
-    // so every case runs the same per-query cascades and the scores
-    // measure the cost of cutting the workload into batches: the pool
-    // is drained at each batch boundary. Case names are identical in
-    // quick and full modes so baselines and smoke runs compare the same
-    // suite. The full-mode shape is filter-dominated (many short
-    // trajectories): the regime the paper's pruning pipeline targets.
-    let (n, lens, nq, k, pool) = if cfg.quick {
-        (24, (8, 16), 24, 3, 8)
-    } else {
-        (512, (8, 24), 256, 5, 32)
-    };
-    let ds = random_walk_set(
-        &mut seeded_rng(0xBA7C4),
-        n,
-        LengthDistribution::Uniform {
-            min: lens.0,
-            max: lens.1,
-        },
-    );
-    let eps = crate::retrieval_eps(&ds);
-    let qs = crate::probing_queries(&ds, nq);
-    let engine = CombinedKnn::build(
-        &ds,
-        eps,
-        CombinedConfig {
-            max_triangle: pool,
-            ..Default::default()
-        },
-    );
-    let batched = |b: usize| -> QueryStats {
-        let mut acc = QueryStats::default();
-        for chunk in qs.chunks(b.min(qs.len()).max(1)) {
-            for r in engine.knn_batch(chunk, k) {
-                acc.accumulate(&r.stats);
-            }
-        }
-        acc
-    };
-    let mut cases: Vec<Case<'_>> = vec![Case {
-        name: "perquery".into(),
-        work: Box::new(|| {
-            let mut acc = QueryStats::default();
-            for r in trajsim_parallel::par_map(&qs, |_, q| engine.knn(q, k)) {
-                acc.accumulate(&r.stats);
-            }
-            Some(acc)
-        }),
-    }];
-    for b in [1usize, 16, 256] {
-        let batched = &batched;
-        cases.push(Case {
-            name: format!("batch_{b}"),
-            work: Box::new(move || Some(batched(b))),
-        });
-    }
-    measure(cases, "perquery", "throughput", cfg)
 }
 
 fn run_obs(cfg: &GuardConfig) -> SuiteRun {

@@ -58,6 +58,11 @@ impl Parsed {
         self.positionals.len()
     }
 
+    /// The option names given, without their leading dashes.
+    pub fn option_keys(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().map(String::as_str)
+    }
+
     /// A string option.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)

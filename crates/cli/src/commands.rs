@@ -41,7 +41,7 @@ commands:
   range    <file> --query I --edits K [--eps E]
   replay   <recording> [--check] [--max-drift F]
   slow     <recording> [--top N]
-  slo      check <spec> <recording|store|timeline>
+  slo      check <spec> <recording|store>
   watch    <addr> [--every S] [--count N]
   cluster  <file> [--k K] [--eps E] [--tree]
 
@@ -58,10 +58,8 @@ global options:
                         (bare --trace means debug;
                         LVL: error|warn|info|debug|trace)
   --profile-out FILE    collect the span stream of the whole run and write
-                        it as a profile on exit
-  --profile-format FMT  chrome (default: Chrome-trace JSON for Perfetto /
-                        chrome://tracing) or collapsed (folded stacks for
-                        flamegraph.pl / speedscope)
+                        it on exit as Chrome-trace JSON (Perfetto,
+                        chrome://tracing, speedscope)
   --record FILE         flight-record the workload: one JSONL line per
                         query (per-stage candidates, timings, answers),
                         readable by `stats` and `replay`
@@ -69,13 +67,9 @@ global options:
                         the rolling p99 latency plus 1 in N of the rest
                         (weighted so `stats` reweights to full-population
                         estimates); requires --record
-  --timeline-every N    metrics-timeline interval in queries (default 64;
-                        the timeline is written next to --metrics-out as
-                        FILE.timeline.json)
   --serve-metrics ADDR  live telemetry endpoint while the command runs:
                         GET /metrics (Prometheus text), /healthz (JSON
-                        liveness), /timeline (the live metrics ring);
-                        port 0 picks an ephemeral port (printed)
+                        liveness); port 0 picks an ephemeral port (printed)
   --serve-hold SECS     keep the endpoint up SECS seconds after the
                         command finishes (outputs are already written),
                         so a scraper can collect the final state
@@ -88,6 +82,43 @@ files: .csv (long format: traj_id,t,c0,c1) or .bin (trajsim binary)";
 const COMMANDS: &[&str] = &[
     "generate", "convert", "stats", "knn", "explain", "range", "replay", "slow", "slo", "watch",
     "cluster",
+];
+
+/// Every option any command reads (`-o` included, as `o`). `dispatch`
+/// refuses any other, so a misspelt or retired flag is an error rather
+/// than silently ignored; a test checks each one appears in `USAGE`.
+const OPTIONS: &[&str] = &[
+    "attribute",
+    "batch",
+    "check",
+    "count",
+    "edits",
+    "engine",
+    "eps",
+    "every",
+    "index",
+    "json",
+    "k",
+    "latency-tolerance",
+    "max-drift",
+    "max-triangle",
+    "metrics-out",
+    "n",
+    "o",
+    "profile-out",
+    "queries",
+    "query",
+    "record",
+    "sample",
+    "seed",
+    "serve-hold",
+    "serve-metrics",
+    "shape-tolerance",
+    "spread",
+    "threads",
+    "top",
+    "trace",
+    "tree",
 ];
 
 /// Fails fast when an output path cannot be created, naming the flag
@@ -104,9 +135,8 @@ fn ensure_writable(flag: &str, path: &str) -> Result<(), String> {
 /// and validated before the command runs.
 struct Telemetry {
     trace_level: Option<trajsim_obs::Level>,
-    profile: Option<(String, String, Arc<ProfileCollector>)>,
+    profile: Option<(String, Arc<ProfileCollector>)>,
     record: Option<(String, Arc<FlightRecorder>)>,
-    timeline: Option<(String, Arc<trajsim_obs::Timeline>)>,
     /// The live telemetry endpoint (`--serve-metrics ADDR`) and how many
     /// seconds to hold it open after the command finishes
     /// (`--serve-hold`). Started here in `from_args` — NOT in
@@ -115,16 +145,6 @@ struct Telemetry {
     /// after every output file is written, so a scraper holding the
     /// endpoint open sees the same final counters `--metrics-out` got.
     serve: Option<(trajsim_obs::ServerHandle, u64)>,
-}
-
-/// Where the metrics timeline goes: next to `--metrics-out FILE`, named
-/// `FILE.timeline.json` (with a plain `.json` suffix swapped out rather
-/// than doubled).
-fn timeline_path(metrics_out: &str) -> String {
-    match metrics_out.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.timeline.json"),
-        None => format!("{metrics_out}.timeline.json"),
-    }
 }
 
 impl Telemetry {
@@ -137,14 +157,8 @@ impl Telemetry {
         };
         let profile = match parsed.get("profile-out") {
             Some(path) => {
-                let format: String = parsed.get_or("profile-format", "chrome".to_string())?;
-                if format != "chrome" && format != "collapsed" {
-                    return Err(format!(
-                        "option --profile-format: unknown format {format:?} (chrome|collapsed)"
-                    ));
-                }
                 ensure_writable("--profile-out", path)?;
-                Some((path.to_string(), format, ProfileCollector::new()))
+                Some((path.to_string(), ProfileCollector::new()))
             }
             None => None,
         };
@@ -175,26 +189,6 @@ impl Telemetry {
             }
             None => None,
         };
-        let timeline = match parsed.get("metrics-out") {
-            Some(path) => {
-                let every: u64 = parsed.get_or(
-                    "timeline-every",
-                    trajsim_obs::timeline::DEFAULT_INTERVAL_QUERIES,
-                )?;
-                if every == 0 {
-                    return Err("option --timeline-every: must be at least 1".into());
-                }
-                let out = timeline_path(path);
-                ensure_writable("--metrics-out", &out)?;
-                let tl = trajsim_obs::Timeline::new(
-                    trajsim_obs::metrics::global(),
-                    every,
-                    trajsim_obs::timeline::DEFAULT_CAPACITY,
-                );
-                Some((out, Arc::new(tl)))
-            }
-            None => None,
-        };
         let serve = match parsed.get("serve-metrics") {
             Some(addr) => {
                 let hold: u64 = parsed.get_or("serve-hold", 0u64)?;
@@ -217,7 +211,6 @@ impl Telemetry {
             trace_level,
             profile,
             record,
-            timeline,
             serve,
         })
     }
@@ -227,14 +220,11 @@ impl Telemetry {
     /// `--record` raise the level to at least debug; a more verbose
     /// `--trace trace` wins.
     fn install(&self) {
-        if let Some((_, tl)) = &self.timeline {
-            trajsim_obs::timeline::set_timeline(Some(tl.clone()));
-        }
         let mut sinks: Vec<Arc<dyn trajsim_obs::Sink>> = Vec::new();
         if self.trace_level.is_some() {
             sinks.push(Arc::new(trajsim_obs::JsonLinesSink::stderr()));
         }
-        if let Some((_, _, collector)) = &self.profile {
+        if let Some((_, collector)) = &self.profile {
             sinks.push(collector.clone());
         }
         if let Some((_, recorder)) = &self.record {
@@ -268,16 +258,12 @@ impl Telemetry {
     /// way `--trace` alone would have left them.
     fn finish(&self) -> Result<(), String> {
         let mut result = Ok(());
-        if let Some((path, format, collector)) = &self.profile {
+        if let Some((path, collector)) = &self.profile {
             let records = collector.take();
-            let written = match format.as_str() {
-                "chrome" => trajsim_profile::write_chrome_trace(Path::new(path), &records)
-                    .map_err(|e| format!("--profile-out {path}: {e}")),
-                _ => std::fs::write(path, trajsim_profile::collapsed_stacks(&records))
-                    .map_err(|e| format!("--profile-out {path}: {e}")),
-            };
+            let written = trajsim_profile::write_chrome_trace(Path::new(path), &records)
+                .map_err(|e| format!("--profile-out {path}: {e}"));
             if written.is_ok() {
-                eprintln!("profile: {} records -> {path} ({format})", records.len());
+                eprintln!("profile: {} records -> {path}", records.len());
             }
             result = result.and(written);
         }
@@ -292,25 +278,6 @@ impl Telemetry {
                 );
             }
             result = result.and(flushed);
-        }
-        if let Some((path, tl)) = &self.timeline {
-            trajsim_obs::timeline::set_timeline(None);
-            let doc = tl.to_json(trajsim_obs::metrics::global());
-            let written = serde_json::to_string_pretty(&doc)
-                .map_err(|e| e.to_string())
-                .and_then(|text| {
-                    std::fs::write(path, text + "\n").map_err(|e| format!("write {path}: {e}"))
-                });
-            // To stdout, not stderr: under --trace, stderr must stay pure
-            // JSON lines (CI validates every line parses).
-            let reported = written.and_then(|()| {
-                println!(
-                    "timeline: {} intervals over {} queries -> {path}",
-                    tl.intervals_retained(),
-                    tl.queries()
-                )
-            });
-            result = result.and(reported);
         }
         if self.profile.is_some() || self.record.is_some() {
             match self.trace_level {
@@ -343,6 +310,9 @@ impl Telemetry {
 /// Dispatches the parsed command line.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let parsed = Parsed::parse(argv)?;
+    if let Some(key) = parsed.option_keys().find(|key| !OPTIONS.contains(key)) {
+        return Err(format!("unknown option --{key}\n{USAGE}"));
+    }
     let threads: usize = parsed.get_or("threads", 0usize)?;
     trajsim_parallel::set_num_threads(threads);
     let telemetry = Telemetry::from_args(&parsed)?;
@@ -549,37 +519,25 @@ fn slo(parsed: &Parsed) -> Result<(), String> {
         Some(other) => Err(format!(
             "slo: unknown subcommand {other:?} (expected check)"
         )),
-        None => Err("slo: missing subcommand (usage: trajsim slo check <spec> \
-                     <recording|store|timeline>)"
-            .into()),
+        None => Err(
+            "slo: missing subcommand (usage: trajsim slo check <spec> <recording|store>)".into(),
+        ),
     }
 }
 
 /// `trajsim slo check <spec> <input>`: evaluates an SLO spec against a
-/// flight recording, a stats store, or a metrics timeline, and exits
-/// nonzero on violation — the CI gate. The input kind is detected from
-/// its `format` field: a timeline document gets the sliding burn-rate
-/// windows, anything else goes through `read_stats_input`.
+/// flight recording or a stats store, and exits nonzero on violation —
+/// the CI gate.
 fn slo_check(parsed: &Parsed) -> Result<(), String> {
     let spec_path = parsed.positional(2).ok_or("slo check: missing spec file")?;
     let input = parsed
         .positional(3)
-        .ok_or("slo check: missing input (a recording, stats store, or timeline)")?;
+        .ok_or("slo check: missing input (a recording or stats store)")?;
     let spec_text = std::fs::read_to_string(spec_path)
         .map_err(|e| format!("slo check: open {spec_path}: {e}"))?;
     let spec =
         trajsim_profile::SloSpec::parse(&spec_text).map_err(|e| format!("{spec_path}: {e}"))?;
-    let input_text =
-        std::fs::read_to_string(input).map_err(|e| format!("slo check: open {input}: {e}"))?;
-    let timeline_doc = serde_json::from_str(&input_text).ok().filter(|doc| {
-        doc.get("format").and_then(serde_json::Value::as_str) == Some(trajsim_obs::TIMELINE_FORMAT)
-    });
-    let report = match timeline_doc {
-        Some(doc) => {
-            trajsim_profile::evaluate_timeline(&spec, &doc).map_err(|e| format!("{input}: {e}"))?
-        }
-        None => trajsim_profile::evaluate_stats(&spec, &read_stats_input(input)?),
-    };
+    let report = trajsim_profile::evaluate_stats(&spec, &read_stats_input(input)?);
     // A gate's verdict outranks a closed stdout: a failed check never
     // exits 0 because its reader went away.
     let printed = print!("{}", report.render());
@@ -1978,48 +1936,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_out_collapsed_format_folds_the_query_stack() {
-        let _g = sink_guard();
-        let csv = tmp("profile-collapsed.csv");
-        let out = tmp("profile.folded");
-        run(&["generate", "walk", "--n", "20", "--seed", "6", "-o", &csv]).unwrap();
-        run(&[
-            "knn",
-            &csv,
-            "--query",
-            "0",
-            "--k",
-            "3",
-            "--profile-out",
-            &out,
-            "--profile-format",
-            "collapsed",
-        ])
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        let query_line = text
-            .lines()
-            .find(|l| l.contains(";knn.query") && !l.contains("knn.stage"))
-            .expect("a knn.query stack line");
-        assert!(query_line.starts_with("thread-"));
-        let value: u64 = query_line.rsplit(' ').next().unwrap().parse().unwrap();
-        assert!(value >= 1);
-        // Bad format is rejected up front.
-        assert!(run(&[
-            "knn",
-            &csv,
-            "--query",
-            "0",
-            "--profile-out",
-            &out,
-            "--profile-format",
-            "svg",
-        ])
-        .unwrap_err()
-        .contains("profile-format"));
-    }
-
-    #[test]
     fn unwritable_output_paths_fail_cleanly() {
         let csv = tmp("unwritable.csv");
         run(&["generate", "walk", "--n", "10", "--seed", "1", "-o", &csv]).unwrap();
@@ -2253,63 +2169,41 @@ mod tests {
     }
 
     #[test]
-    fn timeline_path_derives_a_sidecar_name() {
-        assert_eq!(timeline_path("m.json"), "m.timeline.json");
-        assert_eq!(timeline_path("out/metrics"), "out/metrics.timeline.json");
-    }
-
-    #[test]
-    fn metrics_out_writes_a_timeline_sidecar() {
+    fn metrics_out_and_profile_out_write_one_file_each() {
         let _g = sink_guard();
-        let csv = tmp("timeline.csv");
-        let out = tmp("timeline-metrics.json");
-        run(&["generate", "walk", "--n", "30", "--seed", "29", "-o", &csv]).unwrap();
+        let dir = tmp("one-file-each");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = tmp("one-file-each.csv");
+        let metrics = format!("{dir}/m.json");
+        // Whatever its name says, the profile is a Chrome trace.
+        let profile = format!("{dir}/p.folded");
+        run(&["generate", "walk", "--n", "20", "--seed", "29", "-o", &csv]).unwrap();
         run(&[
             "knn",
             &csv,
             "--queries",
-            "16",
+            "4",
             "--k",
             "2",
             "--metrics-out",
-            &out,
-            "--timeline-every",
-            "4",
+            &metrics,
+            "--profile-out",
+            &profile,
         ])
         .unwrap();
-        let side = timeline_path(&out);
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&side).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("format").and_then(|v| v.as_str()),
-            Some(trajsim_obs::TIMELINE_FORMAT)
-        );
-        assert_eq!(
-            doc.get("version").and_then(|v| v.as_u64()),
-            Some(trajsim_obs::TIMELINE_VERSION)
-        );
-        assert!(doc.get("queries").and_then(|v| v.as_u64()).unwrap() >= 16);
-        let intervals = doc.get("intervals").unwrap().as_array().unwrap();
-        assert!(!intervals.is_empty(), "no intervals captured");
-        // Interval counter deltas include the per-interval query count.
-        let total_noted: u64 = intervals
-            .iter()
-            .map(|i| i.get("queries").and_then(|v| v.as_u64()).unwrap())
-            .sum();
-        assert!(total_noted >= 16, "intervals cover {total_noted} queries");
-        assert!(run(&[
-            "knn",
-            &csv,
-            "--query",
-            "0",
-            "--metrics-out",
-            &out,
-            "--timeline-every",
-            "0"
-        ])
-        .is_err());
-        // The timeline was uninstalled when the command finished.
-        assert_eq!(trajsim_obs::level(), trajsim_obs::Level::Off);
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        written.sort();
+        assert_eq!(written, ["m.json", "p.folded"], "no sidecar next to either");
+        let trace: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+        assert!(trace
+            .get("traceEvents")
+            .and_then(|v| v.as_array())
+            .is_some());
     }
 
     #[test]
@@ -2701,6 +2595,37 @@ mod tests {
     }
 
     #[test]
+    fn every_option_has_usage_text() {
+        for opt in OPTIONS {
+            let flag = if opt.len() == 1 {
+                format!("-{opt} ")
+            } else {
+                format!("--{opt}")
+            };
+            assert!(USAGE.contains(&flag), "option {flag:?} missing from USAGE");
+        }
+    }
+
+    #[test]
+    fn unknown_options_fail_naming_the_flag() {
+        let csv = tmp("unknown-option.csv");
+        run(&["generate", "walk", "--n", "10", "--seed", "2", "-o", &csv]).unwrap();
+        // A typo and two flags no command reads: each is refused before
+        // the command runs, not ignored.
+        for (flag, value) in [
+            ("--kk", "2"),
+            ("--timeline-every", "8"),
+            ("--profile-format", "collapsed"),
+        ] {
+            let err = run(&["knn", &csv, "--query", "0", flag, value]).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown option {flag}\n")),
+                "{flag}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn serve_metrics_endpoint_serves_live_registry_and_shuts_down() {
         let _g = sink_guard();
         // Drive Telemetry directly so the ephemeral port is reachable
@@ -2759,8 +2684,7 @@ mod tests {
             format!(
                 r#"{{"format": "trajsim-slo-spec", "version": 1,
   "objectives": [{{"metric": "total_ns", "p": 0.99, "max_ns": {p99_max_ns}}}],
-  "burn": {{"threshold_ns": {p99_max_ns}, "budget": 0.05,
-            "window_intervals": 4, "max_rate": 1.0}}}}"#
+  "burn": {{"threshold_ns": {p99_max_ns}, "budget": 0.05, "max_rate": 1.0}}}}"#
             ),
         )
         .unwrap();
@@ -2768,30 +2692,12 @@ mod tests {
     }
 
     #[test]
-    fn slo_check_gates_recordings_and_timelines() {
+    fn slo_check_gates_recordings() {
         let _g = sink_guard();
         let csv = tmp("slo.csv");
         let rec = tmp("slo.flight.jsonl");
-        let metrics = tmp("slo-metrics.json");
         run(&["generate", "walk", "--n", "24", "--seed", "37", "-o", &csv]).unwrap();
-        // Reset the global registry so the timeline in this run reflects
-        // only this run's queries.
-        trajsim_obs::metrics::global().clear();
-        run(&[
-            "knn",
-            &csv,
-            "--queries",
-            "6",
-            "--k",
-            "2",
-            "--record",
-            &rec,
-            "--metrics-out",
-            &metrics,
-            "--timeline-every",
-            "2",
-        ])
-        .unwrap();
+        run(&["knn", &csv, "--queries", "6", "--k", "2", "--record", &rec]).unwrap();
         // A generous objective (1000 s) passes; an absurd one (1 ns,
         // every query is over threshold) fails with a rendered verdict.
         let pass_spec = write_slo_spec("slo-pass.json", 1_000_000_000_000);
@@ -2799,12 +2705,17 @@ mod tests {
         run(&["slo", "check", &pass_spec, &rec]).unwrap();
         let err = run(&["slo", "check", &fail_spec, &rec]).unwrap_err();
         assert!(err.contains("violates"), "{err}");
-        // The timeline sidecar is detected by format and gated too.
-        let timeline = timeline_path(&metrics);
-        run(&["slo", "check", &pass_spec, &timeline]).unwrap();
-        assert!(run(&["slo", "check", &fail_spec, &timeline])
-            .unwrap_err()
-            .contains("violates"));
+        // A spec asking for sliding burn windows is refused, naming the
+        // field, rather than checked as one whole-run window.
+        let windowed = tmp("slo-windowed.json");
+        std::fs::write(
+            &windowed,
+            r#"{"format": "trajsim-slo-spec", "version": 1,
+  "burn": {"threshold_ns": 1000, "budget": 0.05, "window_intervals": 4, "max_rate": 1.0}}"#,
+        )
+        .unwrap();
+        let err = run(&["slo", "check", &windowed, &rec]).unwrap_err();
+        assert!(err.contains("window_intervals"), "{err}");
         // Bad inputs fail cleanly.
         assert!(run(&["slo", "check", &pass_spec]).is_err());
         assert!(run(&["slo", "check", "/nonexistent.json", &rec]).is_err());

@@ -20,19 +20,13 @@
 //! release builds; [`Registry::snapshot_json`] serializes everything for
 //! the CLI's `--metrics-out` and the bench harness.
 //!
-//! **Time series** ([`timeline`]): a bounded ring of interval rollups
-//! (counter deltas, gauge last-values, histogram bucket deltas) ticked
-//! from the query-completion chokepoint via [`timeline::note_query`],
-//! exported as a JSON timeline whose intervals always sum back to the
-//! cumulative registry state.
-//!
 //! **Live endpoint** ([`server`], [`exposition`], [`process`]): a
 //! std-only HTTP server on a background thread serving the registry as
 //! Prometheus text exposition (`GET /metrics`, dotted names mapped to
 //! `knn_stage_*`-style underscored ones), liveness with process
-//! self-metrics (`GET /healthz`; uptime, RSS, thread count), and the
-//! live timeline ring (`GET /timeline`). The CLI wires it to a global
-//! `--serve-metrics ADDR` flag.
+//! self-metrics (`GET /healthz`; uptime, RSS, thread count). The CLI
+//! wires it to a global `--serve-metrics ADDR` flag, and `trajsim watch`
+//! diffs successive `/metrics` scrapes into per-interval rates.
 //!
 //! Span/metric taxonomy: see `DESIGN.md` §9 (span names are dotted,
 //! `knn.query` / `parallel.pool`; metric names likewise,
@@ -45,12 +39,10 @@ pub mod exposition;
 pub mod metrics;
 pub mod process;
 pub mod server;
-pub mod timeline;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramState, Registry, DEFAULT_LATENCY_BOUNDS_NS};
 pub use server::{http_get, serve, ServerHandle};
-pub use timeline::{Timeline, TIMELINE_FORMAT, TIMELINE_VERSION};
 pub use trace::{
     emit, emit_span, enabled, level, set_level, set_sink, thread_id, FieldValue, JsonLinesSink,
     Level, Record, Sink, Span,

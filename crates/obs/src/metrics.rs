@@ -327,7 +327,7 @@ impl Registry {
     }
 
     /// Raw counter values by name, sorted by name (the map is a
-    /// `BTreeMap`). The timeline rollup diffs successive calls.
+    /// `BTreeMap`).
     pub fn counter_values(&self) -> BTreeMap<String, u64> {
         self.counters
             .read()
@@ -516,9 +516,8 @@ mod tests {
 
     #[test]
     fn snapshot_key_order_is_sorted_and_deterministic() {
-        // Snapshots and timeline intervals must diff stably: keys come
-        // out in sorted order regardless of creation order. Pinned here
-        // because the vendored serde_json Map preserves insertion order
+        // Successive snapshots must diff stably: keys come out in sorted
+        // order regardless of creation order. Pinned here because the vendored serde_json Map preserves insertion order
         // — the sorting comes from the registry's BTreeMaps, and this
         // test keeps anyone from swapping them for hash maps.
         let r = Registry::new();

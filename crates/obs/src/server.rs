@@ -7,7 +7,6 @@
 //! |-------------|----------------------------------------------------------|
 //! | `/metrics`  | Prometheus text exposition of the registry ([`crate::exposition::render`]) |
 //! | `/healthz`  | JSON liveness: status, uptime, query count, RSS, threads |
-//! | `/timeline` | the installed [`crate::timeline::Timeline`] ring as JSON |
 //!
 //! The server is deliberately minimal: one `std::net::TcpListener`, a
 //! blocking accept loop on one background thread, one request per
@@ -27,7 +26,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::metrics::Registry;
-use crate::{exposition, process, timeline};
+use crate::{exposition, process};
 
 /// A running telemetry server. Dropping the handle without calling
 /// [`ServerHandle::shutdown`] leaves the daemon thread running until
@@ -163,22 +162,6 @@ fn handle_connection(mut stream: TcpStream, registry: &Registry) -> std::io::Res
                 &format!("{}\n", serde_json::to_string(&doc).unwrap_or_default()),
             )
         }
-        "/timeline" => {
-            let doc = match timeline::current() {
-                Some(tl) => tl.to_json(registry),
-                None => serde_json::json!({
-                    "format": timeline::TIMELINE_FORMAT,
-                    "version": timeline::TIMELINE_VERSION,
-                    "installed": false,
-                }),
-            };
-            respond(
-                &mut stream,
-                200,
-                "application/json",
-                &format!("{}\n", serde_json::to_string(&doc).unwrap_or_default()),
-            )
-        }
         _ => respond(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
     }
 }
@@ -257,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_metrics_healthz_timeline_and_404() {
+    fn serves_metrics_healthz_and_404() {
         let r = leaked_registry();
         r.counter("knn.queries").add(9);
         r.histogram("knn.query_ns").record(123_456);
@@ -279,16 +262,12 @@ mod tests {
         assert_eq!(doc.get("status").and_then(|v| v.as_str()), Some("ok"));
         assert_eq!(doc.get("queries").and_then(|v| v.as_u64()), Some(9));
 
-        let (status, body) = http_get(&addr, "/timeline", t).unwrap();
-        assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(body.trim()).unwrap();
-        assert_eq!(
-            doc.get("format").and_then(|v| v.as_str()),
-            Some(timeline::TIMELINE_FORMAT)
-        );
-
-        let (status, _) = http_get(&addr, "/nope", t).unwrap();
-        assert_eq!(status, 404);
+        // Only /metrics and /healthz are served; /timeline is an
+        // unknown path like any other.
+        for path in ["/nope", "/timeline"] {
+            let (status, _) = http_get(&addr, path, t).unwrap();
+            assert_eq!(status, 404, "{path}");
+        }
 
         server.shutdown();
         // After shutdown nothing is listening.

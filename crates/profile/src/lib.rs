@@ -10,11 +10,8 @@
 //! - [`chrome_trace`]: renders collected records as Chrome-trace-format
 //!   JSON (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev) load
 //!   it directly) — complete `"X"` slices for span-shaped records,
-//!   instant `"i"` events for the rest, one track per thread;
-//! - [`collapsed_stacks`]: folds the same records into the
-//!   collapsed-stack text format (`frame;frame;frame value`) consumed by
-//!   `flamegraph.pl` and [speedscope](https://speedscope.app), with
-//!   nesting reconstructed per thread from span containment;
+//!   instant `"i"` events for the rest, one track per thread
+//!   ([speedscope](https://speedscope.app) opens it too);
 //! - [`ExplainReport`]: the per-stage pruning-power EXPLAIN built from
 //!   live [`QueryStats`](trajsim_prune::QueryStats) — candidates in/out,
 //!   selectivity, EDR calls saved, and wall time per candidate for each
@@ -30,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 mod chrome;
-mod collapsed;
 mod collector;
 mod explain;
 mod recorder;
@@ -40,7 +36,6 @@ mod slow;
 mod workload;
 
 pub use chrome::{chrome_trace, write_chrome_trace};
-pub use collapsed::collapsed_stacks;
 pub use collector::{ProfileCollector, ProfileRecord, TeeSink};
 pub use explain::{ArtReport, ExplainReport, LatencyReport, ScratchReport};
 pub use recorder::{
@@ -50,8 +45,7 @@ pub use sampling::{
     SampleDecision, SamplerConfig, TailSampler, DEFAULT_TAIL_QUANTILE, DEFAULT_WARMUP,
 };
 pub use slo::{
-    evaluate_stats, evaluate_timeline, Burn, BurnRow, Objective, SloReport, SloRow, SloSpec,
-    SLO_FORMAT, SLO_VERSION,
+    evaluate_stats, Burn, BurnRow, Objective, SloReport, SloRow, SloSpec, SLO_FORMAT, SLO_VERSION,
 };
 pub use slow::{SlowQuery, SlowReport};
 pub use workload::{

@@ -13,7 +13,6 @@
 //! | [`QgramKnn`] | §4.1, Figs. 7–8 | mean-value q-gram counting (variants PR, PB, PS2, PS1) |
 //! | [`CombinedKnn`] | §4.2–4.4, Table 3, Figs. 9–13 | the filter cascade, configured by [`CombinedConfig`]: a list of [`Stage`]s, any subset of the histogram, q-gram and near-triangle filters in any order, over an HSE or HSR scan |
 //! | [`cse::CseKnn`] | §4.2 discussion | triangle pruning with a constant-shift-embedded constant |
-//! | [`LcssKnn`] | §4 (mentioned, omitted) | histogram-pruned LCSS retrieval |
 //!
 //! The paper's six orders of all three filters are [`FILTER_ORDERS`]
 //! (Fig. 11), and the cascade's single-filter configurations are its
@@ -42,9 +41,8 @@
 //! [`QgramKnn`] for variable-length databases, the exact (rather than
 //! greedy) histogram distance, optional early-abandoning EDR,
 //! [`CombinedKnn::range`] (Theorem 1's range form, answered by the same
-//! cascade under a fixed radius), [`cse`] for the constant-shift
-//! embedding discussion, and [`LcssKnn`] — the histogram-pruned LCSS
-//! retrieval the paper mentions but omits.
+//! cascade under a fixed radius), and [`cse`] for the constant-shift
+//! embedding discussion.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,7 +51,6 @@ mod batch;
 mod candidates;
 mod combined;
 pub mod cse;
-mod lcss_knn;
 mod qgram_knn;
 mod result;
 mod seqscan;
@@ -62,9 +59,6 @@ pub use batch::{BATCH_RUNS, BATCH_SHARED_SIGNATURE_EVALS, BATCH_SIZE};
 pub use candidates::{Candidate, CandidateBatch, CandidateSource};
 pub use combined::{
     build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, ScanMode, FILTER_ORDERS,
-};
-pub use lcss_knn::{
-    lcss_score_upper_bound, lcss_sequential_scan, LcssKnn, LcssKnnResult, LcssNeighbor,
 };
 pub use qgram_knn::{QgramKnn, QgramVariant};
 pub use result::{

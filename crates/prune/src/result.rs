@@ -479,20 +479,15 @@ pub(crate) fn finish_query(
     m.histogram("knn.query_ns").record(t.total_ns);
     m.histogram("knn.refine_ns").record(t.refine_ns);
     // Per-stage time counters, always on (relaxed adds): these are what
-    // the live endpoint's dominant-stage rollups (`trajsim watch`) and
-    // timeline-window SLO attribution read. The Debug-gated span records
-    // below carry the same numbers per query; the counters carry them
-    // cumulatively even with tracing off.
+    // the live endpoint's dominant-stage rollups (`trajsim watch`) read.
+    // The Debug-gated span records below carry the same numbers per
+    // query; the counters carry them cumulatively even with tracing off.
     m.counter("knn.stage.setup_ns").add(t.setup_ns);
     for stage in Stage::ALL {
         m.counter(stage.keys().counter)
             .add(t.stage(stage).filter_ns);
     }
     m.counter("knn.stage.refine_ns").add(t.refine_ns);
-    // Tick the metrics time series (one relaxed load when none is
-    // installed) — outside the Debug gate, because the timeline must
-    // advance in always-on production configurations too.
-    trajsim_obs::timeline::note_query();
     if trajsim_obs::enabled(trajsim_obs::Level::Debug) {
         if t.setup_ns > 0 {
             trajsim_obs::emit_span(
@@ -541,8 +536,7 @@ pub(crate) fn finish_query(
         );
         // The flight record: everything the recorder persists, flat, in
         // one event. Emitted as a non-span record (no elapsed_ns) so the
-        // chrome-trace exporter draws it as an instant marker and the
-        // collapsed-stack exporter attributes no time to it.
+        // chrome-trace exporter draws it as an instant marker.
         let seq = FLIGHT_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut answer = String::with_capacity(neighbors.len() * 8);
         for n in neighbors {

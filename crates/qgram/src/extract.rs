@@ -59,15 +59,19 @@ pub fn mean_value_qgrams<const D: usize>(t: &Trajectory<D>, q: usize) -> Vec<Poi
         return Vec::new();
     }
     let inv_q = 1.0 / q as f64;
-    // Sliding-window sum: O(n·D) instead of O(n·q·D).
-    let mut sum = Point::<D>::origin();
-    for p in &pts[..q] {
-        sum = sum + *p;
-    }
+    let window_sum = |w: &[Point<D>]| w.iter().fold(Point::<D>::origin(), |acc, p| acc + *p);
+    // Sliding-window sum: O(n·D) instead of O(n·q·D). A NaN or ±∞ stays
+    // in a running sum after its point leaves the window, so a
+    // non-finite sum is recomputed from the window's own points: only
+    // the windows holding the bad point get a non-finite mean.
+    let mut sum = window_sum(&pts[..q]);
     let mut out = Vec::with_capacity(pts.len() - q + 1);
     out.push(sum * inv_q);
     for i in q..pts.len() {
         sum = sum + pts[i] - pts[i - q];
+        if !sum.is_finite() {
+            sum = window_sum(&pts[i + 1 - q..=i]);
+        }
         out.push(sum * inv_q);
     }
     out
@@ -159,6 +163,36 @@ mod tests {
         let (tg, sg) = (qgram_windows(&t, 2), qgram_windows(&s, 2));
         assert!(qgrams_match(tg[0], sg[0], eps(0.5)));
         assert!(!qgrams_match(tg[1], sg[1], eps(0.5))); // (2,2) vs (9,9)
+    }
+
+    #[test]
+    fn a_non_finite_point_spoils_only_its_own_windows() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let t = Trajectory2::from_xy(&[(0.0, bad), (1.0, 1.0), (2.0, 2.0)]);
+            let m = mean_value_qgrams(&t, 1);
+            assert_eq!(m.len(), 3);
+            assert!(!m[0].is_finite(), "{bad}: {m:?}");
+            assert_eq!(&m[1..], &[Point2::xy(1.0, 1.0), Point2::xy(2.0, 2.0)]);
+            let m = mean_value_qgrams(&t, 2);
+            assert_eq!(m.len(), 2);
+            assert!(!m[0].is_finite(), "{bad}: {m:?}");
+            assert_eq!(m[1], Point2::xy(1.5, 1.5));
+            // In the middle, the bad point is in q windows and no others.
+            let t = Trajectory2::from_xy(&[
+                (0.0, 0.0),
+                (1.0, 1.0),
+                (2.0, bad),
+                (3.0, 3.0),
+                (4.0, 4.0),
+                (5.0, 5.0),
+            ]);
+            let finite: Vec<bool> = mean_value_qgrams(&t, 2)
+                .iter()
+                .map(Point2::is_finite)
+                .collect();
+            assert_eq!(finite, [true, false, false, true, true], "{bad}");
+            assert_eq!(mean_value_qgrams(&t, 2)[4], Point2::xy(4.5, 4.5));
+        }
     }
 
     #[test]

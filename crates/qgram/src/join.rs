@@ -345,6 +345,36 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_point_mid_trajectory_leaves_the_other_means_joinable() {
+        let nan = f64::NAN;
+        let t = Trajectory2::from_xy(&[
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (2.0, 2.0),
+            (3.0, nan),
+            (4.0, 4.0),
+            (5.0, 5.0),
+            (6.0, 6.0),
+        ]);
+        let u = Trajectory2::from_xy(&[(0.2, 0.2), (2.9, 2.9), (4.1, 4.1), (6.0, 6.0)]);
+        for q in 1..=3 {
+            let (st, su) = (SortedMeans::build(&t, q), SortedMeans::build(&u, q));
+            for e in [eps(0.0), eps(0.3), eps(1.0), eps(10.0)] {
+                for (x, y) in [(&st, &su), (&su, &st), (&st, &st)] {
+                    assert_eq!(
+                        x.match_count(y, e),
+                        brute_match_count(x.means(), y.means(), e),
+                        "q = {q}, eps = {}",
+                        e.value()
+                    );
+                }
+            }
+            // Only the q windows holding the NaN point match nothing.
+            assert_eq!(st.match_count(&st, eps(10.0)), t.len() - q + 1 - q);
+        }
+    }
+
+    #[test]
     fn identical_trajectories_match_fully() {
         let t = Trajectory2::from_xy(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]);
         let s = SortedMeans::build(&t, 2);

@@ -82,21 +82,6 @@ fn simplification_shrinks_storage_but_keeps_shape() {
 }
 
 #[test]
-fn lcss_engine_available_through_facade() {
-    let db = sample_db().normalize();
-    let eps = MatchThreshold::new(0.5).unwrap();
-    let engine = trajsim::prune::LcssKnn::build(&db, eps);
-    let q = db.trajectories()[4].clone();
-    let r = engine.knn(&q, 3);
-    assert_eq!(r.neighbors[0].id, 4);
-    assert_eq!(r.neighbors[0].dist, 0.0);
-    let truth = trajsim::prune::lcss_sequential_scan(&db, eps, &q, 3);
-    let got: Vec<f64> = r.neighbors.iter().map(|n| n.dist).collect();
-    let want: Vec<f64> = truth.iter().map(|n| n.dist).collect();
-    assert_eq!(got, want);
-}
-
-#[test]
 fn subtrajectory_search_through_facade() {
     // Splice a known pattern into a longer track and find it.
     let pattern = Trajectory2::from_xy(&[(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)]);
