@@ -182,34 +182,6 @@ pub fn threads_json() -> serde_json::Value {
     serde_json::json!({ "count": count, "source": source.as_str() })
 }
 
-/// Answers a batch of queries — a thin wrapper over
-/// [`KnnEngine::knn_batch`], kept for the harness binaries. For the
-/// sequential scan this takes the shared batched path (one dataset
-/// traversal feeds every query in the batch); every other engine runs
-/// one parallel task per query. Results are returned in query order.
-pub fn batch_knn<E: KnnEngine<2> + Sync>(
-    engine: &E,
-    queries: &[Trajectory<2>],
-    k: usize,
-) -> Vec<trajsim_prune::KnnResult> {
-    engine.knn_batch(queries, k)
-}
-
-/// Accumulates the per-query statistics of one batched call into a
-/// single [`QueryStats`]. Summing is safe: batched engines keep
-/// counters (`dp_cells`, `edr_computed`, candidate flow) exact per
-/// query and amortize the shared wall-clock measurements across the
-/// batch, so the accumulated stats reproduce the batch totals exactly
-/// once — no double-counted dp_cells or wall time (see the batch
-/// accounting notes in `trajsim-prune`).
-pub fn accumulate_batch(results: &[trajsim_prune::KnnResult]) -> QueryStats {
-    let mut acc = QueryStats::default();
-    for r in results {
-        acc.accumulate(&r.stats);
-    }
-    acc
-}
-
 /// Selects `count` probing queries: evenly spaced members of the data set
 /// (deterministic, spread across whatever structure the generator
 /// produced).
@@ -300,34 +272,6 @@ mod tests {
         assert_eq!(run.pruning_power, 0.0);
         assert!(run.secs_per_query >= 0.0);
         assert_eq!(run.stats.database_size, 60); // 3 queries x N=20
-    }
-
-    #[test]
-    fn batch_knn_matches_serial() {
-        let d = db();
-        let eps = pick_eps(&d);
-        let scan = SequentialScan::new(&d, eps);
-        let queries = probing_queries(&d, 7);
-        let parallel = batch_knn(&scan, &queries, 3);
-        for (q, got) in queries.iter().zip(&parallel) {
-            assert_eq!(got.distances(), scan.knn(q, 3).distances());
-        }
-        assert!(batch_knn(&scan, &[], 3).is_empty());
-    }
-
-    #[test]
-    fn accumulated_batch_stats_count_each_candidate_once() {
-        let d = db();
-        let eps = pick_eps(&d);
-        let scan = SequentialScan::new(&d, eps).with_early_abandon();
-        let queries = probing_queries(&d, 5);
-        let acc = accumulate_batch(&batch_knn(&scan, &queries, 3));
-        // Exact counters: every query saw every candidate exactly once.
-        assert_eq!(acc.database_size, d.len() * queries.len());
-        assert!(acc.edr_computed <= acc.database_size);
-        // Amortized wall time: present, not multiplied by the batch size.
-        assert!(acc.timings.total_ns > 0);
-        assert!(accumulate_batch(&[]).timings.total_ns == 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::args::Parsed;
 // Every print of the command output goes through `out`.
-use crate::out::{print, println};
+use crate::out::{eprintln, print, println};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
@@ -766,9 +766,8 @@ fn report_stages(t: &StageTimings, per: Option<(usize, usize)>) -> Result<(), St
 }
 /// A built k-NN engine behind two closures, so `knn` and `explain`
 /// construct engines identically (build once, query many): one query at
-/// a time, or a whole batch through the engine's `knn_batch` (one shared
-/// dataset pass for `--engine scan`, parallel per-query answers for every
-/// other engine).
+/// a time, or a whole batch through the engine's `knn_batch` (parallel
+/// per-query answers).
 type QueryFn<'a> = Box<dyn Fn(&Trajectory<2>, usize) -> KnnResult + 'a>;
 type BatchFn<'a> = Box<dyn Fn(&[Trajectory<2>], usize) -> Vec<KnnResult> + 'a>;
 
@@ -1151,8 +1150,8 @@ fn explain(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
 
 /// Serializes the workload's stats (with stage breakdown), the resolved
 /// thread configuration, and a snapshot of the global metrics registry
-/// (which carries the `batch.*` and `parallel.worker_*` series for
-/// batched runs). `query` describes the workload: a single id, or a
+/// (which carries the `parallel.worker_*` series of multi-threaded
+/// runs). `query` describes the workload: a single id, or a
 /// `{first, count}` range; `batch` is the batch size when the run went
 /// through `knn_batch`.
 fn write_metrics(
@@ -1234,7 +1233,7 @@ fn range(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
 
 /// Reads the recording at `rec_path` and re-runs its workload from its
 /// header, capturing the fresh flight records in memory through the same
-/// `finish_query` emission path: `(recorded, replayed)`.
+/// `finalize_query` emission path: `(recorded, replayed)`.
 fn rerun(rec_path: &str, telemetry: &Telemetry) -> Result<(Recording, Recording), String> {
     let recording = Recording::read(rec_path)?;
     let meta = &recording.meta;
@@ -1338,16 +1337,15 @@ fn rerun(rec_path: &str, telemetry: &Telemetry) -> Result<(Recording, Recording)
 
 /// `trajsim replay <recording>`: rebuilds the dataset, engine, and
 /// workload from the recording's header, re-runs it while capturing a
-/// fresh recording in memory through the same `finish_query` chokepoint,
+/// fresh recording in memory through the same `finalize_query` chokepoint,
 /// then checks the answers and the work, and reports stage-level drift.
 ///
-/// Answer checking is strict on distances — EDR is deterministic, so the
-/// per-query distance multisets must match exactly. Neighbor *ids* may
-/// legitimately permute among tied distances when the sequential scan's
-/// batched merge visits workers in a different order; that is reported,
-/// not fatal. Each query's work — `edr_computed`, `dp_cells` and the
-/// three `pruned_*` counters — is deterministic too, and is compared
-/// exactly as a multiset. The stats diff that follows compares the
+/// Answer checking is strict: every engine breaks distance ties by
+/// database id, so each query's neighbour ids and distances must match
+/// exactly (as a multiset over queries, since batches record in
+/// completion order). Each query's work — `edr_computed`, `dp_cells`
+/// and the three `pruned_*` counters — is deterministic too, and is
+/// compared exactly as a multiset. The stats diff that follows compares the
 /// workload's shape (query count, pruned total, pruning power, each
 /// stage's candidate flow and selectivity) exactly, and its latency
 /// percentiles at the relative `--max-drift`. Under `--check` a
@@ -1379,31 +1377,17 @@ fn replay(parsed: &Parsed, telemetry: &Telemetry) -> Result<(), String> {
             got.len()
         ));
     }
-    if want == got {
-        printed = printed.and(println!(
-            "  neighbor sets: identical ({} queries)",
-            got.len()
-        ));
-    } else {
-        let dists = |qs: &[Vec<(u64, u64)>]| {
-            let mut d: Vec<Vec<u64>> = qs
-                .iter()
-                .map(|q| q.iter().map(|&(dist, _)| dist).collect())
-                .collect();
-            d.sort();
-            d
-        };
-        if dists(&want) != dists(&got) {
-            return Err("replay: neighbor distances differ from the recording — \
-                        the answers changed, not just their order"
-                .into());
-        }
-        let permuted = want.iter().zip(&got).filter(|(a, b)| a != b).count();
-        printed = printed.and(println!(
-            "  neighbor sets: distances identical; ids permuted among tied \
-             distances in up to {permuted} queries"
+    if want != got {
+        let moved = want.iter().zip(&got).filter(|(a, b)| a != b).count();
+        return Err(format!(
+            "replay: neighbor sets differ from the recording in up to {moved} queries \
+             (ids or distances changed)"
         ));
     }
+    printed = printed.and(println!(
+        "  neighbor sets: identical ({} queries)",
+        got.len()
+    ));
     let (want, got) = (work_counters(&recording), work_counters(&replayed));
     let work_moved = want != got;
     if work_moved {
@@ -2001,62 +1985,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_metrics_out_reports_batch_series() {
-        // Serialized with the other batch test: the `batch.size` gauge is
-        // process-global and records the most recent batch. The scan is
-        // the engine with a shared batched pass, which reports it.
-        let _g = sink_guard();
-        let csv = tmp("batch-metrics.csv");
-        let out = tmp("batch-metrics.json");
-        run(&["generate", "walk", "--n", "40", "--seed", "21", "-o", &csv]).unwrap();
-        run(&[
-            "knn",
-            &csv,
-            "--queries",
-            "16",
-            "--batch",
-            "16",
-            "--k",
-            "3",
-            "--engine",
-            "scan",
-            "--metrics-out",
-            &out,
-        ])
-        .unwrap();
-        let doc: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        let path = |keys: &[&str]| -> serde_json::Value {
-            let mut v = &doc;
-            for k in keys {
-                v = v.get(k).unwrap_or_else(|| panic!("missing key {k:?}"));
-            }
-            v.clone()
-        };
-        assert_eq!(doc.get("batch").and_then(|v| v.as_u64()), Some(16));
-        assert_eq!(path(&["query", "count"]).as_u64(), Some(16));
-        assert!(path(&["stats", "edr_computed"]).as_u64().unwrap() > 0);
-        assert_eq!(
-            path(&["metrics", "gauges", "batch.size"]).as_i64(),
-            Some(16)
-        );
-        assert!(
-            path(&["metrics", "counters", "batch.shared_signature_evals"])
-                .as_u64()
-                .is_some_and(|v| v > 0)
-        );
-        assert!(path(&["metrics", "counters", "batch.runs"])
-            .as_u64()
-            .is_some());
-        assert!(path(&["metrics", "counters", "parallel.worker_busy_ns"])
-            .as_u64()
-            .is_some());
-        assert!(path(&["metrics", "counters", "parallel.worker_idle_ns"])
-            .as_u64()
-            .is_some());
-    }
-
-    #[test]
     fn cluster_runs_and_validates_k() {
         let csv = tmp("cluster.csv");
         run(&["generate", "walk", "--n", "12", "--seed", "5", "-o", &csv]).unwrap();
@@ -2111,7 +2039,6 @@ mod tests {
             assert_eq!(r.k, 3);
             assert_eq!(r.neighbors.len(), 3);
             assert!(r.timings.total_ns > 0);
-            assert!(r.batch.is_none());
         }
         // The recording run restored tracing for subsequent commands.
         assert_eq!(trajsim_obs::level(), trajsim_obs::Level::Off);
@@ -2166,6 +2093,36 @@ mod tests {
         assert!(run(&["stats", "diff", &rec_a]).is_err());
         assert!(run(&["stats", "merge", "-o", &store]).is_err());
         assert!(run(&["stats", "diff", &rec_a, &rec_b, "--latency-tolerance", "7"]).is_err());
+    }
+
+    #[test]
+    fn stats_show_reads_records_with_the_retired_batch_fields() {
+        // Older builds stamped a shared-scan batch id on each record and
+        // counted batched drops; readers ignore both keys.
+        let rec = tmp("stats-batch-fields.flight.jsonl");
+        std::fs::write(
+            &rec,
+            concat!(
+                "{\"format\":\"trajsim-flight-recording\",\"version\":2,\"meta\":{}}\n",
+                "{\"engine\":\"seq-scan\",\"seq\":7,\"query_len\":5,\"k\":2,",
+                "\"database_size\":10,\"edr_computed\":10,\"pruned\":0,\"dp_cells\":50,",
+                "\"refine_ns\":400,\"total_ns\":500,\"neighbors\":\"1:0 2:3\",\"batch\":3,",
+                "\"weight\":3,\"sampled\":\"uniform\",\"absorbed\":{\"queries\":2,",
+                "\"batched\":2,\"sums\":{\"database_size\":20,\"edr_computed\":20}}}\n",
+            ),
+        )
+        .unwrap();
+        let stats = read_stats_input(&rec).unwrap();
+        assert_eq!((stats.queries, stats.recorded_queries), (3, 1));
+        assert_eq!((stats.database_size, stats.edr_computed), (30, 30));
+        let text = stats.render();
+        assert!(
+            text.starts_with(
+                "workload stats  runs=1  queries=~3 (reweighted from 1 sampled records)\n"
+            ),
+            "{text}"
+        );
+        run(&["stats", "show", &rec]).unwrap();
     }
 
     #[test]
@@ -2328,13 +2285,20 @@ mod tests {
         run(&["replay", &rec]).unwrap();
         // Tampering with the recorded distances makes replay fail loudly.
         let text = std::fs::read_to_string(&rec).unwrap();
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        let v: serde_json::Value = serde_json::from_str(&lines[1]).unwrap();
+        let second = text.lines().nth(1).unwrap();
+        let v: serde_json::Value = serde_json::from_str(second).unwrap();
         let old_nb = v
             .get("neighbors")
             .and_then(serde_json::Value::as_str)
             .unwrap()
             .to_string();
+        let tamper = |name: &str, nb: &str| {
+            let mut lines: Vec<String> = text.lines().map(String::from).collect();
+            lines[1] = lines[1].replace(&old_nb, nb);
+            let path = tmp(name);
+            std::fs::write(&path, lines.join("\n")).unwrap();
+            path
+        };
         let new_nb = old_nb
             .split_whitespace()
             .map(|p| {
@@ -2343,11 +2307,18 @@ mod tests {
             })
             .collect::<Vec<_>>()
             .join(" ");
-        lines[1] = lines[1].replace(&old_nb, &new_nb);
-        let bad = tmp("replay-tampered.flight.jsonl");
-        std::fs::write(&bad, lines.join("\n")).unwrap();
+        let bad = tamper("replay-tampered.flight.jsonl", &new_nb);
         let err = run(&["replay", &bad]).unwrap_err();
         assert!(err.contains("neighbor"), "unexpected error: {err}");
+        // So does one neighbour id changed with its distance kept.
+        let (first, rest) = old_nb.split_once(':').unwrap();
+        let renamed = format!("{}:{rest}", first.parse::<u64>().unwrap() + 1_000);
+        let bad = tamper("replay-renamed.flight.jsonl", &renamed);
+        let err = run(&["replay", &bad]).unwrap_err();
+        assert!(
+            err.contains("neighbor sets differ"),
+            "unexpected error: {err}"
+        );
         // A recording without a header cannot be replayed.
         let empty = tmp("replay-headerless.flight.jsonl");
         std::fs::write(
@@ -2488,21 +2459,20 @@ mod tests {
             .unwrap();
             rec
         };
-        // The scan's shared pass stamps its batch id on every record.
-        let rec = record("scan");
-        let recording = Recording::read(&rec).unwrap();
-        assert_eq!(recording.records.len(), 8);
-        assert!(recording.records.iter().all(|r| r.batch.is_some()));
-        run(&["replay", &rec]).unwrap();
-        // The combined engine answers a batch query by query: no batch
-        // ids, and a replay reproduces every answer, ids included.
-        let rec = record("combined");
-        let (recorded, replayed) =
-            rerun(&rec, &Telemetry::from_args(&Parsed::default()).unwrap()).unwrap();
-        assert_eq!(recorded.records.len(), 8);
-        assert!(recorded.records.iter().all(|r| r.batch.is_none()));
-        assert_eq!(neighbor_sets(&recorded), neighbor_sets(&replayed));
-        run(&["replay", &rec]).unwrap();
+        // Every engine answers a batch query by query, so a replay
+        // reproduces every answer, ids included, and the work.
+        for engine in ["scan", "combined"] {
+            let rec = record(engine);
+            let (recorded, replayed) =
+                rerun(&rec, &Telemetry::from_args(&Parsed::default()).unwrap()).unwrap();
+            assert_eq!(recorded.records.len(), 8, "{engine}");
+            assert_eq!(
+                neighbor_sets(&recorded),
+                neighbor_sets(&replayed),
+                "{engine}"
+            );
+            run(&["replay", &rec, "--check"]).unwrap();
+        }
     }
 
     #[test]

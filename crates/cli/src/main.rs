@@ -30,7 +30,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) if e == out::CLOSED => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            out::eprintln!("error: {e}");
             ExitCode::from(1)
         }
     }

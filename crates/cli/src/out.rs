@@ -4,7 +4,9 @@
 //! return the write error instead, so a command stops at its first lost
 //! line (`watch`'s endless loop too) and `main` reports a closed pipe as
 //! success. The gates (`replay`, `stats diff`, `slo check`) hold the
-//! error until their verdict, so a failed check still exits 1.
+//! error until their verdict, so a failed check still exits 1. Std's
+//! `eprintln!` panics on a closed stderr the same way; the one here drops
+//! the line instead, so `main`'s error still exits 1.
 
 use std::io::{self, Write};
 
@@ -19,7 +21,11 @@ macro_rules! println {
     ($($arg:tt)*) => { $crate::out::write(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
-pub(crate) use {print, println};
+macro_rules! eprintln {
+    ($($arg:tt)*) => { $crate::out::write_err(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+pub(crate) use {eprintln, print, println};
 
 /// Unit tests print through the harness's captured `print!`.
 pub(crate) fn write(args: std::fmt::Arguments<'_>) -> Result<(), String> {
@@ -28,6 +34,15 @@ pub(crate) fn write(args: std::fmt::Arguments<'_>) -> Result<(), String> {
         return Ok(());
     }
     io::stdout().lock().write_fmt(args).map_err(error)
+}
+
+/// A diagnostic line for stderr, lost if stderr is closed.
+pub(crate) fn write_err(args: std::fmt::Arguments<'_>) {
+    if cfg!(test) {
+        std::eprint!("{args}");
+        return;
+    }
+    let _ = io::stderr().lock().write_fmt(args);
 }
 
 pub(crate) fn flush() -> Result<(), String> {

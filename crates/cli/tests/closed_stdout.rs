@@ -2,6 +2,8 @@
 //! command quietly: exit 0, no panic. The binary runs with its stdout on
 //! a pipe whose read end is already closed, so its first write fails with
 //! `EPIPE` — deterministically, not only when the reader loses a race.
+//! A closed stderr (`trajsim … 2>&1 | head -1`) loses the diagnostics,
+//! never the exit status.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -109,6 +111,32 @@ fn a_closed_stdout_ends_the_command_quietly() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_stderr_keeps_the_exit_status() {
+    let (dir, csv) = walk_csv("closed-stderr");
+    let run = |args: &[&str]| {
+        Command::new(BIN)
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(readerless_pipe())
+            .status()
+            .expect("run trajsim")
+    };
+    // The error line (which carries the usage text) cannot be written.
+    assert_eq!(
+        run(&["knn", &csv, "--query", "0", "--kk", "2"]).code(),
+        Some(1)
+    );
+    // Nor can the recording's note; the run still succeeds.
+    let rec = dir.join("rec.jsonl");
+    let rec = rec.to_str().unwrap();
+    assert_eq!(
+        run(&["knn", &csv, "--query", "0", "--k", "2", "--record", rec]).code(),
+        Some(0)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

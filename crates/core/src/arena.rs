@@ -143,34 +143,6 @@ impl<const D: usize> TrajectoryArena<D> {
     pub fn views(&self) -> impl Iterator<Item = (usize, ArenaView<'_, D>)> {
         (0..self.len()).map(|id| (id, self.view(id)))
     }
-
-    /// Splits the id space into contiguous ranges of at most `chunk_len`
-    /// trajectories, in layout order — the unit of work for dataset-chunk
-    /// scheduling (each batched-scan task walks one range front to back).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len == 0`.
-    pub fn chunk_ranges(&self, chunk_len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        let n = self.len();
-        (0..n)
-            .step_by(chunk_len)
-            .map(move |start| start..(start + chunk_len).min(n))
-    }
-
-    /// Iterates `(id, view)` pairs over one id range, in layout order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range reaches past the arena.
-    pub fn views_in(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = (usize, ArenaView<'_, D>)> {
-        assert!(range.end <= self.len(), "range exceeds arena");
-        range.map(|id| (id, self.view(id)))
-    }
 }
 
 /// A borrowed `(offset, len)` view into a [`TrajectoryArena`] block.
@@ -274,29 +246,5 @@ mod tests {
         assert!(arena.is_empty());
         assert_eq!(arena.max_len(), 0);
         assert_eq!(arena.views().count(), 0);
-        assert_eq!(arena.chunk_ranges(4).count(), 0);
-    }
-
-    #[test]
-    fn chunk_ranges_tile_the_arena() {
-        let ds: Dataset<2> = Dataset::new(vec![Trajectory2::from_xy(&[(0.0, 0.0)]); 10]);
-        let arena = TrajectoryArena::from_dataset(&ds);
-        let chunks: Vec<_> = arena.chunk_ranges(4).collect();
-        assert_eq!(chunks, vec![0..4, 4..8, 8..10]);
-        // Oversized chunks collapse to one range; the ranges always cover
-        // every id exactly once.
-        assert_eq!(arena.chunk_ranges(100).collect::<Vec<_>>(), vec![0..10]);
-        let visited: Vec<usize> = arena
-            .chunk_ranges(3)
-            .flat_map(|r| arena.views_in(r).map(|(id, _)| id))
-            .collect();
-        assert_eq!(visited, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_chunk_len_panics() {
-        let arena = TrajectoryArena::<2>::from_trajectories(&[]);
-        let _ = arena.chunk_ranges(0);
     }
 }

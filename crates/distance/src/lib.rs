@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod batch;
 mod dtw;
 mod edit;
 mod edr;
@@ -44,7 +43,6 @@ mod metric;
 mod subsequence;
 mod workspace;
 
-pub use batch::BatchContext;
 pub use dtw::{dtw, dtw_banded, dtw_with};
 pub use edit::edit_distance;
 pub use edr::{

@@ -11,28 +11,40 @@
 //! [`set_num_threads`] override, else the `TRAJSIM_THREADS` environment
 //! variable, else `std::thread::available_parallelism`
 //! ([`num_threads_with_source`] also reports which of the three won).
-//! With one thread (or one item) everything degrades to the serial loop,
-//! so callers can use these primitives unconditionally.
+//! On a pool's own worker threads [`num_threads`] is 1, so a parallel
+//! call nested inside another (a parallel scan answering one query of a
+//! parallel batch) runs serially instead of starting T² threads. With
+//! one thread (or one item) everything degrades to the serial loop, so
+//! callers can use these primitives unconditionally.
 //!
 //! Every genuinely parallel pool run feeds the `trajsim-obs` global
 //! metrics registry — `parallel.pool_runs`, `parallel.tasks`, summed
 //! `parallel.worker_busy_ns` / `parallel.worker_idle_ns`, and a
 //! `parallel.worker_tasks` histogram of per-worker task counts (load
 //! balance) — and emits a `parallel.pool` debug trace event. The serial
-//! fallback of `par_map`/`par_for` records nothing; [`par_chunks`] — the
-//! dataset-chunk scheduler the batched k-NN path runs on — records its
-//! pool metrics even when it degrades to one thread, so shared-scan
-//! busy/idle accounting is always present in metric snapshots.
+//! fallback records nothing.
 //!
 //! Worker panics propagate to the caller (matching rayon).
 
 #![forbid(unsafe_code)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread is one of a pool's workers.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as a pool worker for the rest of its life
+/// (pool threads are scoped: they end with the pool run).
+fn enter_worker() {
+    IN_WORKER.with(|w| w.set(true));
+}
 
 /// Forces the number of worker threads used by this crate; `0` restores
 /// automatic selection.
@@ -63,15 +75,20 @@ impl ThreadSource {
     }
 }
 
-/// The number of worker threads parallel calls will use:
+/// The number of worker threads parallel calls will use: 1 on a pool's
+/// own worker threads (nested calls run serially), else
 /// [`set_num_threads`] override, else `TRAJSIM_THREADS`, else
 /// `available_parallelism` (at least 1).
 pub fn num_threads() -> usize {
+    if IN_WORKER.with(Cell::get) {
+        return 1;
+    }
     num_threads_with_source().0
 }
 
-/// [`num_threads`] plus which resolution step produced the count — the
-/// CLI and bench harness report both so measurements are attributable.
+/// The configured thread count (what [`num_threads`] returns off a pool
+/// worker) plus which resolution step produced it — the CLI and bench
+/// harness report both so measurements are attributable.
 pub fn num_threads_with_source() -> (usize, ThreadSource) {
     let over = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if over > 0 {
@@ -203,6 +220,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    enter_worker();
                     let t_worker = Instant::now();
                     let mut scratch = init();
                     let mut out = Vec::new();
@@ -251,92 +269,6 @@ where
         .collect()
 }
 
-/// Dataset-chunk scheduling: splits `0..n` into contiguous ranges of at
-/// most `chunk_len` indices and runs `f(&mut scratch, range)` over them,
-/// returning one result per chunk in chunk order. A shared atomic cursor
-/// hands out whole chunks, so uneven chunk cost balances dynamically;
-/// every worker calls `init()` once for its scratch (an `EdrWorkspace` in
-/// the batched k-NN scan).
-///
-/// This is the scheduling shape for shared-work batched queries: the task
-/// unit is a *candidate range* scanned against all live queries, not one
-/// query. Unlike [`par_map`], the one-thread/one-chunk fallback still
-/// records the pool metrics (`parallel.pool_runs`, `parallel.tasks`,
-/// `parallel.worker_busy_ns`/`idle_ns`, `parallel.worker_tasks`), with
-/// busy equal to wall — callers report shared-scan worker accounting
-/// unconditionally, whatever the machine's core count.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`; re-raises a panic from `init` or `f`.
-pub fn par_chunks<S, R, INIT, F>(n: usize, chunk_len: usize, init: INIT, f: F) -> Vec<R>
-where
-    R: Send,
-    INIT: Fn() -> S + Sync,
-    F: Fn(&mut S, std::ops::Range<usize>) -> R + Sync,
-{
-    assert!(chunk_len > 0, "chunk length must be positive");
-    let chunks = n.div_ceil(chunk_len);
-    let range_of = |c: usize| (c * chunk_len)..((c + 1) * chunk_len).min(n);
-    let threads = num_threads().min(chunks.max(1));
-    if threads <= 1 || chunks <= 1 {
-        let t_pool = Instant::now();
-        let mut scratch = init();
-        let out: Vec<R> = (0..chunks).map(|c| f(&mut scratch, range_of(c))).collect();
-        let wall = elapsed_ns(t_pool);
-        record_worker(wall, chunks as u64);
-        record_pool(chunks, 1, wall, wall, &[chunks as u64]);
-        return out;
-    }
-
-    let t_pool = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let busy_total = AtomicU64::new(0);
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let t_worker = Instant::now();
-                    let mut scratch = init();
-                    let mut out = Vec::new();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks {
-                            break;
-                        }
-                        out.push((c, f(&mut scratch, range_of(c))));
-                    }
-                    let busy = elapsed_ns(t_worker);
-                    busy_total.fetch_add(busy, Ordering::Relaxed);
-                    record_worker(busy, out.len() as u64);
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    });
-    let worker_tasks: Vec<u64> = buckets.iter().map(|b| b.len() as u64).collect();
-    record_pool(
-        chunks,
-        threads,
-        elapsed_ns(t_pool),
-        busy_total.load(Ordering::Relaxed),
-        &worker_tasks,
-    );
-
-    let mut slots: Vec<Option<R>> = (0..chunks).map(|_| None).collect();
-    for (c, r) in buckets.into_iter().flatten() {
-        slots[c] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk dispensed exactly once"))
-        .collect()
-}
-
 /// Applies `f(i)` to every `i in 0..n`, in parallel, returning the
 /// results in index order — [`par_map`] without a backing slice (e.g.
 /// triangular matrix rows of varying length).
@@ -380,6 +312,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    enter_worker();
                     let t_worker = Instant::now();
                     let mut done = 0u64;
                     loop {
@@ -490,73 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_returns_chunk_results_in_order() {
-        let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_num_threads(4);
-        let _guard = ResetThreads;
-        let got = par_chunks(23, 5, || (), |(), r| (r.start, r.end));
-        assert_eq!(got, vec![(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]);
-        // One chunk or zero items: still well-formed.
-        assert_eq!(par_chunks(3, 10, || (), |(), r| r.len()), vec![3]);
-        assert_eq!(
-            par_chunks(0, 10, || (), |(), r| r.len()),
-            Vec::<usize>::new()
-        );
-    }
-
-    #[test]
-    fn par_chunks_covers_every_index_once_with_worker_scratch() {
-        let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_num_threads(3);
-        let _guard = ResetThreads;
-        let inits = AtomicUsize::new(0);
-        let hits: Vec<AtomicUsize> = (0..217).map(|_| AtomicUsize::new(0)).collect();
-        let sums = par_chunks(
-            217,
-            7,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0u64
-            },
-            |acc, r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                    *acc += 1;
-                }
-                *acc // running count proves scratch persists per worker
-            },
-        );
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(sums.len(), 217usize.div_ceil(7));
-        let created = inits.load(Ordering::Relaxed);
-        assert!(
-            (1..=3).contains(&created),
-            "one scratch per worker: {created}"
-        );
-    }
-
-    #[test]
-    fn par_chunks_records_pool_metrics_even_in_serial_mode() {
-        let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_num_threads(1);
-        let _guard = ResetThreads;
-        let m = trajsim_obs::metrics::global();
-        let runs_before = m.counter("parallel.pool_runs").get();
-        let tasks_before = m.counter("parallel.tasks").get();
-        let busy_before = m.counter("parallel.worker_busy_ns").get();
-        let _ = par_chunks(40, 8, || (), |(), r| r.len());
-        assert_eq!(m.counter("parallel.pool_runs").get(), runs_before + 1);
-        assert_eq!(m.counter("parallel.tasks").get(), tasks_before + 5);
-        assert!(m.counter("parallel.worker_busy_ns").get() > busy_before);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn par_chunks_rejects_zero_chunk_len() {
-        let _ = par_chunks(10, 0, || (), |(), r| r.len());
-    }
-
-    #[test]
     fn par_for_map_matches_serial() {
         let got = par_for_map(10, |i| vec![i; i]);
         let want: Vec<Vec<usize>> = (0..10).map(|i| vec![i; i]).collect();
@@ -599,6 +465,18 @@ mod tests {
             x
         });
         drop(guard);
+    }
+
+    #[test]
+    fn nested_calls_run_serially_on_pool_workers() {
+        let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_num_threads(4);
+        let _guard = ResetThreads;
+        let items: Vec<u64> = (0..64).collect();
+        let inner = par_map(&items, |_, _| num_threads());
+        // The serial fallback would run on this thread and read 4.
+        assert!(inner.iter().all(|&t| t == 1), "{inner:?}");
+        assert_eq!(num_threads(), 4);
     }
 
     #[test]

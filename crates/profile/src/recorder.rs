@@ -10,7 +10,7 @@
 //!
 //! followed by one flat JSON object per query — the fields of the
 //! [`trajsim_prune::FLIGHT_EVENT`] record emitted by the engines'
-//! `finish_query` epilogue (see `DESIGN.md` §12 for the field table).
+//! `finalize_query` epilogue (see `DESIGN.md` §12 for the field table).
 //! The recorder ignores every other trace record, so it can sit in a
 //! [`crate::TeeSink`] next to `--trace` and `--profile-out` sinks
 //! without double work.
@@ -56,10 +56,8 @@ struct RecorderInner {
 pub struct Absorbed {
     /// How many dropped queries this aggregate covers.
     pub queries: u64,
-    /// How many of them ran through the shared-scan batched path.
-    pub batched: u64,
     /// Per-field sums over the dropped queries (every numeric wire field
-    /// except `seq` and `batch`).
+    /// except `seq`).
     pub sums: std::collections::BTreeMap<String, u64>,
 }
 
@@ -70,7 +68,6 @@ impl Absorbed {
             let FieldValue::U64(x) = v else { continue };
             match *k {
                 "seq" => {}
-                "batch" => self.batched += 1,
                 // Allocate the key only on first sight: after the first
                 // drop every fold is pure lookups, keeping the drop path
                 // cheap enough for always-on recording.
@@ -91,7 +88,6 @@ impl Absorbed {
         }
         json!({
             "queries": self.queries,
-            "batched": self.batched,
             "sums": Value::Object(sums),
         })
     }
@@ -115,7 +111,6 @@ impl Absorbed {
         }
         Absorbed {
             queries: v.get("queries").and_then(Value::as_u64).unwrap_or(0),
-            batched: v.get("batched").and_then(Value::as_u64).unwrap_or(0),
             sums,
         }
     }
@@ -352,8 +347,6 @@ pub struct FlightRecord {
     pub query_len: u64,
     /// Requested result size (hit count for range queries).
     pub k: u64,
-    /// Shared-scan batch id; `None` for per-query execution.
-    pub batch: Option<u64>,
     /// Database size N.
     pub database_size: u64,
     /// True EDR computations performed.
@@ -393,7 +386,6 @@ impl Default for FlightRecord {
             engine: String::new(),
             query_len: 0,
             k: 0,
-            batch: None,
             database_size: 0,
             edr_computed: 0,
             pruned: 0,
@@ -476,7 +468,6 @@ impl FlightRecord {
             engine,
             query_len: u("query_len"),
             k: u("k"),
-            batch: v.get("batch").and_then(Value::as_u64),
             database_size: u("database_size"),
             edr_computed: u("edr_computed"),
             pruned: u("pruned"),
@@ -623,7 +614,6 @@ mod tests {
         assert_eq!(r.seq, 0);
         assert_eq!(r.query_len, 8);
         assert_eq!(r.k, 3);
-        assert_eq!(r.batch, None);
         assert_eq!(r.edr_computed, 40);
         let h = r.timings.histogram;
         assert_eq!((h.candidates_in, h.pruned(), h.filter_ns), (100, 60, 50));
@@ -724,7 +714,6 @@ mod tests {
             assert_eq!(r.sampled.as_deref(), Some("uniform"));
             let absorbed = r.absorbed.as_ref().expect("absorbed sums");
             assert_eq!(absorbed.queries, 2);
-            assert_eq!(absorbed.batched, 0);
             assert_eq!(absorbed.sums.get("edr_computed"), Some(&80));
             assert_eq!(absorbed.sums.get("pruned"), Some(&120));
             assert_eq!(absorbed.sums.get("total_ns"), Some(&20_000));

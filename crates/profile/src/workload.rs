@@ -189,8 +189,6 @@ pub struct WorkloadStats {
     pub queries: u64,
     /// Flight records actually read (one per persisted line).
     pub recorded_queries: u64,
-    /// Queries answered by a shared-scan batch traversal (weighted).
-    pub batched_queries: u64,
     /// Query count per engine name.
     pub engines: BTreeMap<String, u64>,
     /// Database size summed over queries.
@@ -244,11 +242,6 @@ impl WorkloadStats {
         };
         self.queries += w;
         self.recorded_queries += 1;
-        self.batched_queries += match absorbed {
-            Some(a) => u64::from(r.batch.is_some()) + a.batched,
-            None if r.batch.is_some() => w,
-            None => 0,
-        };
         *self.engines.entry(r.engine.clone()).or_insert(0) += w;
         self.database_size += flow(r.database_size, "database_size");
         self.edr_computed += flow(r.edr_computed, "edr_computed");
@@ -272,7 +265,6 @@ impl WorkloadStats {
         self.runs += other.runs;
         self.queries += other.queries;
         self.recorded_queries += other.recorded_queries;
-        self.batched_queries += other.batched_queries;
         for (engine, n) in &other.engines {
             *self.engines.entry(engine.clone()).or_insert(0) += n;
         }
@@ -317,7 +309,6 @@ impl WorkloadStats {
             "runs": self.runs,
             "queries": self.queries,
             "recorded_queries": self.recorded_queries,
-            "batched_queries": self.batched_queries,
             "engines": Value::Object(engines),
             "database_size": self.database_size,
             "edr_computed": self.edr_computed,
@@ -368,7 +359,6 @@ impl WorkloadStats {
                 .get("recorded_queries")
                 .and_then(Value::as_u64)
                 .unwrap_or_else(|| u("queries")),
-            batched_queries: u("batched_queries"),
             engines,
             database_size: u("database_size"),
             edr_computed: u("edr_computed"),
@@ -410,14 +400,14 @@ impl WorkloadStats {
         let mut out = String::new();
         if self.recorded_queries == self.queries {
             out.push_str(&format!(
-                "workload stats  runs={}  queries={} ({} batched)\n",
-                self.runs, self.queries, self.batched_queries
+                "workload stats  runs={}  queries={}\n",
+                self.runs, self.queries
             ));
         } else {
             // Tail-sampled input: the totals are reweighted estimates.
             out.push_str(&format!(
-                "workload stats  runs={}  queries=~{} (reweighted from {} sampled records, {} batched)\n",
-                self.runs, self.queries, self.recorded_queries, self.batched_queries
+                "workload stats  runs={}  queries=~{} (reweighted from {} sampled records)\n",
+                self.runs, self.queries, self.recorded_queries
             ));
         }
         if self.queries == 0 {
@@ -759,7 +749,6 @@ mod tests {
             engine: "1HPN".into(),
             query_len: 16,
             k: 4,
-            batch: if seq.is_multiple_of(2) { Some(1) } else { None },
             database_size: 100,
             edr_computed: 20,
             pruned: 80,
@@ -787,7 +776,6 @@ mod tests {
         let mut a = Absorbed::default();
         for r in records {
             a.queries += 1;
-            a.batched += u64::from(r.batch.is_some());
             let stage_fields = Stage::ALL.into_iter().flat_map(|stage| {
                 let (keys, s) = (stage.keys(), r.timings.stage(stage));
                 [
@@ -832,7 +820,6 @@ mod tests {
     fn aggregation_sums_flow_and_brackets_latency() {
         let w = WorkloadStats::from_recording(&sample_recording(10, 10_000));
         assert_eq!(w.queries, 10);
-        assert_eq!(w.batched_queries, 5);
         assert_eq!(w.engines.get("1HPN"), Some(&10));
         assert_eq!(w.database_size, 1_000);
         assert_eq!(w.edr_computed, 200);
@@ -987,7 +974,6 @@ mod tests {
         let ws = WorkloadStats::from_recording(&sampled);
         assert_eq!(ws.queries, wf.queries);
         assert_eq!(ws.recorded_queries, 3);
-        assert_eq!(ws.batched_queries, wf.batched_queries);
         assert_eq!(ws.database_size, wf.database_size);
         assert_eq!(ws.edr_computed, wf.edr_computed);
         assert_eq!(ws.pruned, wf.pruned);

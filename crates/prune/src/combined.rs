@@ -622,7 +622,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
     pub fn range(&self, query: &Trajectory<D>, radius: usize) -> KnnResult {
         let t_query = Instant::now();
         let (hits, stats) = self.cascade(query, ResultSet::within(radius), t_query);
-        finalize_query("range", query.len(), hits.len(), None, t_query, hits, stats)
+        finalize_query("range", query.len(), hits.len(), t_query, hits, stats)
     }
 
     /// `EDRCombineK-NN`, pruning on `result`'s cutoff in either form.
@@ -655,7 +655,7 @@ impl<'a, const D: usize> CombinedKnn<'a, D> {
         // time. A candidate a stage dismisses enters that stage and does
         // not leave it: quick-bound prunes, the HSR break-out remainder
         // and the index's exact and untouched settlements all enter the
-        // histogram stage, and `finish_query` reads every prune credit
+        // histogram stage, and `finalize_query` reads every prune credit
         // off the stage flows.
         let t_filter = Instant::now();
         let generated = self.generate_candidates(query.len(), qh.as_ref(), q_means.as_ref());
@@ -783,7 +783,7 @@ impl<const D: usize> KnnEngine<D> for CombinedKnn<'_, D> {
     fn knn(&self, query: &Trajectory<D>, k: usize) -> KnnResult {
         let t_query = Instant::now();
         let (hits, stats) = self.cascade(query, ResultSet::new(k), t_query);
-        finalize_query(&self.name(), query.len(), k, None, t_query, hits, stats)
+        finalize_query(&self.name(), query.len(), k, t_query, hits, stats)
     }
 
     fn name(&self) -> String {

@@ -204,7 +204,6 @@ impl<const D: usize> KnnEngine<D> for CseKnn<'_, D> {
             &self.name(),
             query.len(),
             k,
-            None,
             t_query,
             result.into_neighbors(),
             stats,

@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod batch;
 mod candidates;
 mod combined;
 pub mod cse;
@@ -55,7 +54,6 @@ mod qgram_knn;
 mod result;
 mod seqscan;
 
-pub use batch::{BATCH_RUNS, BATCH_SHARED_SIGNATURE_EVALS, BATCH_SIZE};
 pub use candidates::{Candidate, CandidateBatch, CandidateSource};
 pub use combined::{
     build_pmatrix, CombinedConfig, CombinedKnn, HistogramVariant, ScanMode, FILTER_ORDERS,
@@ -66,3 +64,9 @@ pub use result::{
     FLIGHT_EVENT, PARTS,
 };
 pub use seqscan::SequentialScan;
+
+/// Counter name of the candidate signatures a batch once evaluated for
+/// all of its queries at a time. No engine increments it any more: every
+/// batch is answered query by query ([`KnnEngine::knn_batch`]), so it
+/// reads 0. Kept because the benchmark harness still reads it.
+pub const BATCH_SHARED_SIGNATURE_EVALS: &str = "batch.shared_signature_evals";

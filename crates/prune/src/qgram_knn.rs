@@ -256,7 +256,6 @@ impl<const D: usize> KnnEngine<D> for QgramKnn<'_, D> {
             &self.name(),
             query.len(),
             k,
-            None,
             t_query,
             result.into_neighbors(),
             stats,

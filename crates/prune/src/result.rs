@@ -131,14 +131,12 @@ impl StageStats {
 /// each pruning filter (with candidate flow), and the EDR refinement of
 /// whatever survived. Stages an engine does not run stay zero.
 ///
-/// Serial engines measure wall time directly, each part inside the
-/// query's clock, so on every per-query path (the serial scan, `QgramKnn`,
-/// `CseKnn`, every `CombinedKnn` stage list and `range`) the parts sum to
-/// at most `total_ns` and [`Self::other_ns`] never saturates
-/// (`tests/refine_kernels.rs` pins it). The exceptions are the parallel
-/// and batched sequential scans: they report `refine_ns` as worker busy
-/// time *summed across workers* (amortized over the batch), so it can
-/// exceed `total_ns` (which is always wall time).
+/// Engines measure wall time directly, each part inside the query's
+/// clock (the parallel scan's refine is one stopwatch around its pool
+/// run), so on every path (the serial and parallel scans, `QgramKnn`,
+/// `CseKnn`, every `CombinedKnn` stage list, `range`, and each query of
+/// a batch) the parts sum to at most `total_ns` and [`Self::other_ns`]
+/// never saturates (`tests/refine_kernels.rs` pins it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimings {
     /// Query-side setup before any candidate is examined (query histogram
@@ -421,7 +419,7 @@ impl QueryStats {
 }
 
 /// Trace-record name of the flight-recorder event emitted by
-/// `finish_query` — one flat, non-span record per finished query,
+/// `finalize_query` — one flat, non-span record per finished query,
 /// carrying the full per-stage candidate flow and timing breakdown. The
 /// `trajsim-profile` flight recorder filters on this name; chrome-trace
 /// renders it as an instant event (it has no `elapsed_ns`), so it never
@@ -433,34 +431,40 @@ pub const FLIGHT_EVENT: &str = "knn.flight";
 /// worker threads.
 static FLIGHT_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// One-stop query epilogue every engine calls right before returning:
-/// writes each `pruned_by_*` counter from its stage's flow, bumps the
-/// global metrics registry and emits the `knn.query` / `knn.stage.*`
-/// debug records plus the flat [`FLIGHT_EVENT`] record the flight
-/// recorder persists. Metrics are relaxed atomics; with tracing off the
+/// Elapsed nanoseconds since `start`, saturating into `u64` — the stage
+/// stopwatch used by every engine.
+#[inline]
+pub(crate) fn elapsed_ns(start: std::time::Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The one query epilogue every engine path ends in: stamps the query's
+/// total wall time from its start instant, writes each `pruned_by_*`
+/// counter from its stage's flow, bumps the global metrics registry,
+/// emits the `knn.query` / `knn.stage.*` debug records plus the flat
+/// [`FLIGHT_EVENT`] record the flight recorder persists, and packages
+/// the [`KnnResult`]. Metrics are relaxed atomics; with tracing off the
 /// whole trace block costs one atomic load. Debug builds check the
 /// funnel: every database id was dismissed by one stage or refined.
 ///
-/// `query_len`, `k`, `batch_id`, and `neighbors` exist only for the
-/// flight record: `batch_id` ties queries answered by one shared-work
-/// batch traversal together (`None` for per-query paths), and
+/// `query_len`, `k` and `neighbors` exist only for the flight record:
 /// `neighbors` is serialized as a compact `"id:dist id:dist"` string so
-/// `trajsim replay` can verify answer sets. Engines whose result type is
-/// not [`Neighbor`]-shaped (LCSS) pass an empty slice.
+/// `trajsim replay` can verify answer sets.
 ///
 /// The stage records are span-shaped (they carry `elapsed_ns` from the
 /// engine's own stage stopwatches) so profile exporters can render the
 /// per-stage breakdown. They are emitted at query end, which makes their
 /// reconstructed start times end-aligned approximations — fine for
 /// selectivity/duration analysis, documented in `DESIGN.md` §9.
-pub(crate) fn finish_query(
+pub(crate) fn finalize_query(
     engine: &str,
     query_len: usize,
     k: usize,
-    batch_id: Option<u64>,
-    neighbors: &[Neighbor],
-    stats: &mut QueryStats,
-) {
+    started: std::time::Instant,
+    neighbors: Vec<Neighbor>,
+    mut stats: QueryStats,
+) -> KnnResult {
+    stats.timings.total_ns = elapsed_ns(started);
     for stage in Stage::ALL {
         *stats.pruned_by_mut(stage) = stats.timings.stage(stage).pruned();
     }
@@ -539,7 +543,7 @@ pub(crate) fn finish_query(
         // chrome-trace exporter draws it as an instant marker.
         let seq = FLIGHT_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut answer = String::with_capacity(neighbors.len() * 8);
-        for n in neighbors {
+        for n in &neighbors {
             if !answer.is_empty() {
                 answer.push(' ');
             }
@@ -574,37 +578,8 @@ pub(crate) fn finish_query(
             ),
             ("neighbors", answer.into()),
         ]);
-        if let Some(b) = batch_id {
-            fields.push(("batch", b.into()));
-        }
         trajsim_obs::emit(trajsim_obs::Level::Debug, FLIGHT_EVENT, &fields);
     }
-}
-
-/// Elapsed nanoseconds since `start`, saturating into `u64` — the stage
-/// stopwatch used by every engine.
-#[inline]
-pub(crate) fn elapsed_ns(start: std::time::Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// The shared end-of-query epilogue: stamps the query's total wall time
-/// from its start instant, runs [`finish_query`] (prune credit, metrics,
-/// spans, flight record), and packages the [`KnnResult`]. Every per-query
-/// engine path ends here; the sequential scan's shared batched path
-/// calls [`finish_query`] itself because it amortizes timings across the
-/// batch before reporting.
-pub(crate) fn finalize_query(
-    engine: &str,
-    query_len: usize,
-    k: usize,
-    batch_id: Option<u64>,
-    started: std::time::Instant,
-    neighbors: Vec<Neighbor>,
-    mut stats: QueryStats,
-) -> KnnResult {
-    stats.timings.total_ns = elapsed_ns(started);
-    finish_query(engine, query_len, k, batch_id, &neighbors, &mut stats);
     KnnResult { neighbors, stats }
 }
 
@@ -635,20 +610,13 @@ pub trait KnnEngine<const D: usize> {
     /// Short name for experiment tables (e.g. "PS2", "2HE-HSR").
     fn name(&self) -> String;
 
-    /// Answers a batch of queries, returning results in query order with
-    /// per-query distances identical to [`Self::knn`]'s (neighbor ids may
-    /// permute among equal distances).
-    ///
-    /// The default runs one task per query in parallel (dynamic chunking;
-    /// thread count per `trajsim-parallel`), so each answer, its ids and
-    /// its per-query counters are exactly those of [`Self::knn`]; every
-    /// pruning engine, `CombinedKnn` included, uses it. The sequential
-    /// scan overrides it to traverse the dataset **once per batch**:
-    /// workers scan candidate chunks against every query, loading each
-    /// candidate once and merging per-query best-k bounds through shared
-    /// atomics (see `crate::batch` for the stats accounting of batched
-    /// results). Engines answer through `&self`, so one instance serves
-    /// every worker thread.
+    /// Answers a batch of queries, returning results in query order:
+    /// one task per query in parallel (dynamic chunking; thread count per
+    /// `trajsim-parallel`), so each answer, its ids and its per-query
+    /// counters are exactly those of [`Self::knn`]. Every engine uses
+    /// it. Engines answer through `&self`, so one instance serves every
+    /// worker thread; a parallel call inside `knn` runs serially on a
+    /// worker.
     fn knn_batch(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult>
     where
         Self: Sync,

@@ -1,14 +1,15 @@
-//! The sequential-scan baseline: true EDR against every trajectory.
+//! The sequential-scan baseline: true EDR against every trajectory. A
+//! batch is answered like every engine's, one `knn` per query on the
+//! worker pool ([`KnnEngine::knn_batch`]); inside a pool worker the
+//! parallel scan runs serially.
 
-use crate::batch::{amortize, finish_batch, merge_partials, next_batch_id};
 use crate::result::{
-    elapsed_ns, finalize_query, finish_query, KnnEngine, KnnResult, Neighbor, QueryStats, Refine,
-    ResultSet,
+    elapsed_ns, finalize_query, KnnEngine, KnnResult, Neighbor, QueryStats, Refine, ResultSet,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use trajsim_core::{CoordSeq, Dataset, MatchThreshold, Trajectory, TrajectoryArena};
-use trajsim_distance::{with_workspace, BatchContext, EdrWorkspace, QueryContext};
+use trajsim_distance::{with_workspace, EdrWorkspace, QueryContext};
 
 /// The brute-force baseline the paper's speedup ratios are measured
 /// against: compute `EDR(Q, S)` for every trajectory `S` and keep the `k`
@@ -35,7 +36,8 @@ use trajsim_distance::{with_workspace, BatchContext, EdrWorkspace, QueryContext}
 ///   pre-grown workspace per worker). The neighbor set is guaranteed
 ///   identical to the serial scan's; with early abandoning,
 ///   `stats.dp_cells` can vary run-to-run because the shared bound
-///   tightens in a thread-dependent order.
+///   tightens in a thread-dependent order. A query of a batch already
+///   runs on a pool worker, where the scan is serial.
 #[derive(Debug, Clone)]
 pub struct SequentialScan<'a, const D: usize> {
     dataset: &'a Dataset<D>,
@@ -94,15 +96,7 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
         } else {
             self.knn_serial(&ctx, k)
         };
-        finalize_query(
-            &self.name(),
-            ctx.len(),
-            k,
-            None,
-            t_query,
-            r.neighbors,
-            r.stats,
-        )
+        finalize_query(&self.name(), ctx.len(), k, t_query, r.neighbors, r.stats)
     }
 
     fn knn_serial(&self, ctx: &QueryContext<D>, k: usize) -> KnnResult {
@@ -156,6 +150,9 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
     ///
     /// Each worker owns one [`EdrWorkspace`], pre-grown to the largest
     /// query/candidate pair, reused across every candidate it refines.
+    /// One stopwatch around the pool run times the refine stage, so it
+    /// stays inside the query's wall time; the workers' summed busy time
+    /// is in the pool's `parallel.worker_busy_ns`.
     fn knn_parallel(&self, ctx: &QueryContext<D>, k: usize) -> KnnResult {
         let n = self.dataset.len();
         let threads = trajsim_parallel::num_threads().min(n.max(1));
@@ -166,11 +163,11 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
             .collect();
         let shared_bound = AtomicUsize::new(usize::MAX);
         let max_pair = self.arena.max_len().max(ctx.len());
-        let partials: Vec<(Vec<Neighbor>, Refine, u64)> = trajsim_parallel::par_map_with(
+        let t_refine = Instant::now();
+        let partials: Vec<(Vec<Neighbor>, Refine)> = trajsim_parallel::par_map_with(
             &chunks,
             || EdrWorkspace::with_capacity(max_pair),
             |ws, _, &(start, end)| {
-                let t_chunk = Instant::now();
                 let mut local = ResultSet::new(k);
                 let mut refine = Refine::scan(self.early_abandon);
                 for id in start..end {
@@ -187,19 +184,18 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
                         shared_bound.fetch_min(local.cutoff(), Ordering::Relaxed);
                     }
                 }
-                (local.into_neighbors(), refine, elapsed_ns(t_chunk))
+                (local.into_neighbors(), refine)
             },
         );
         let mut stats = QueryStats {
             database_size: n,
             ..Default::default()
         };
+        stats.timings.refine_ns = elapsed_ns(t_refine);
         let mut merged: Vec<Neighbor> = Vec::new();
-        for (neighbors, refine, busy_ns) in partials {
+        for (neighbors, refine) in partials {
             merged.extend(neighbors);
             stats.add_refine(&refine);
-            // Summed across workers, so it can exceed the query's wall time.
-            stats.timings.refine_ns += busy_ns;
         }
         merged.sort_by_key(|nb| (nb.dist, nb.id));
         merged.truncate(k);
@@ -207,88 +203,6 @@ impl<'a, const D: usize> SequentialScan<'a, D> {
             neighbors: merged,
             stats,
         }
-    }
-
-    /// The shared-work batched scan behind [`KnnEngine::knn_batch`]: one
-    /// dataset traversal feeds every query. Workers claim candidate
-    /// chunks; for each candidate the columnar arena block is loaded once
-    /// and the inner loop runs over the batch's SoA query contexts. With
-    /// early abandoning each query's cutoff is the minimum of its shared
-    /// cross-worker bound and the worker's local k-th best. Per-query
-    /// merges follow the `knn_parallel` argument, so distances equal the
-    /// per-query scan's exactly (ids may permute on EA-dropped ties).
-    fn knn_batch_scan(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult> {
-        let t_batch = Instant::now();
-        let nq = queries.len();
-        let n = self.dataset.len();
-        let batch = BatchContext::new(queries, self.eps);
-        let setup_ns = elapsed_ns(t_batch);
-        let threads = trajsim_parallel::num_threads().min(n.max(1));
-        let chunk_len = n.div_ceil(threads * 4).max(k).max(1);
-        let max_pair = self.arena.max_len().max(batch.max_query_len());
-        struct ChunkOut {
-            partials: Vec<Vec<Neighbor>>,
-            refines: Vec<Refine>,
-            busy_ns: u64,
-        }
-        let chunks: Vec<ChunkOut> = trajsim_parallel::par_chunks(
-            n,
-            chunk_len,
-            || EdrWorkspace::with_capacity(max_pair),
-            |ws, range| {
-                let t_chunk = Instant::now();
-                let mut locals: Vec<ResultSet> = (0..nq).map(|_| ResultSet::new(k)).collect();
-                let mut refines = vec![Refine::scan(self.early_abandon); nq];
-                for (id, s) in self.arena.views_in(range) {
-                    // One arena-block load serves the whole batch.
-                    for (qi, ctx) in batch.contexts().iter().enumerate() {
-                        let local = &mut locals[qi];
-                        let bound = self.bound(batch.bound(qi).min(local.cutoff()));
-                        refines[qi].step(ctx, id, s, bound, local, ws);
-                        if self.early_abandon {
-                            batch.tighten(qi, local.cutoff());
-                        }
-                    }
-                }
-                ChunkOut {
-                    partials: locals.into_iter().map(ResultSet::into_neighbors).collect(),
-                    refines,
-                    busy_ns: elapsed_ns(t_chunk),
-                }
-            },
-        );
-        let busy_total: u64 = chunks.iter().map(|c| c.busy_ns).sum();
-        let wall_ns = elapsed_ns(t_batch);
-        let name = self.name();
-        let batch_id = next_batch_id();
-        let results: Vec<KnnResult> = (0..nq)
-            .map(|qi| {
-                let mut stats = QueryStats {
-                    database_size: n,
-                    ..Default::default()
-                };
-                for c in &chunks {
-                    stats.add_refine(&c.refines[qi]);
-                }
-                stats.timings.setup_ns = amortize(setup_ns, nq, qi);
-                // Worker busy time amortized over the batch (see the
-                // batch-accounting notes in `crate::batch`).
-                stats.timings.refine_ns = amortize(busy_total, nq, qi);
-                stats.timings.total_ns = amortize(wall_ns, nq, qi);
-                let neighbors = merge_partials(k, chunks.iter().map(|c| c.partials[qi].clone()));
-                finish_query(
-                    &name,
-                    queries[qi].len(),
-                    k,
-                    Some(batch_id),
-                    &neighbors,
-                    &mut stats,
-                );
-                KnnResult { neighbors, stats }
-            })
-            .collect();
-        finish_batch(&name, nq, n as u64, wall_ns);
-        results
     }
 }
 
@@ -306,16 +220,6 @@ impl<const D: usize> KnnEngine<D> for SequentialScan<'_, D> {
             name.push_str("(par)");
         }
         name
-    }
-
-    fn knn_batch(&self, queries: &[Trajectory<D>], k: usize) -> Vec<KnnResult>
-    where
-        Self: Sync,
-    {
-        if queries.len() <= 1 {
-            return trajsim_parallel::par_map(queries, |_, q| self.knn(q, k));
-        }
-        self.knn_batch_scan(queries, k)
     }
 }
 

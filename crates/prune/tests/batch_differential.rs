@@ -1,21 +1,19 @@
-//! Differential tests for `knn_batch`, the two batch contracts:
-//!
-//! - `CombinedKnn` answers a batch as parallel per-query cascades, so
-//!   every query's answer — neighbour ids and distances — and its funnel
-//!   counters (EDR calls, DP cells, per-filter prune credit, each stage's
-//!   candidate flow) equal per-query `knn`'s exactly, for every filter
-//!   order, scan, histogram variant, candidate source and thread count.
-//! - `SequentialScan` walks the dataset once per batch; it must return,
-//!   per query, exactly the distance multiset of per-query `knn`.
-//!   Neighbour ids may permute among equal distances (early abandoning
-//!   drops ties in a schedule-dependent way); distances may not change.
+//! Differential tests for `knn_batch`: every engine answers a batch as
+//! parallel per-query `knn` calls, so every query's answer — neighbour
+//! ids and distances — and its funnel counters (EDR calls, DP cells,
+//! per-filter prune credit, each stage's candidate flow) equal per-query
+//! `knn`'s exactly: for every `CombinedKnn` filter order, scan,
+//! histogram variant, candidate source and thread count, and for the
+//! plain and early-abandoning sequential scans. The parallel
+//! early-abandoning scan's DP cells depend on its schedule, so it is held
+//! to per-query distances only.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trajsim_core::{Dataset, MatchThreshold, Trajectory2};
 use trajsim_prune::{
-    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, QueryStats, ScanMode, SequentialScan,
-    Stage, FILTER_ORDERS,
+    CombinedConfig, CombinedKnn, HistogramVariant, KnnEngine, ScanMode, SequentialScan, Stage,
+    FILTER_ORDERS,
 };
 
 mod common;
@@ -46,7 +44,7 @@ fn random_db(seed: u64, n: usize, max_len: usize) -> Dataset<2> {
 }
 
 /// Batched distances must equal per-query distances, query by query.
-fn assert_batch_matches_per_query<E: KnnEngine<2> + Sync>(
+fn assert_batch_distances_match_per_query<E: KnnEngine<2> + Sync>(
     engine: &E,
     queries: &[Trajectory2],
     k: usize,
@@ -94,13 +92,14 @@ fn seqscan_batched_distances_match_per_query() {
         let _guard = ResetThreads;
         for k in [1, 3, 7] {
             let plain = SequentialScan::new(&db, e);
-            assert_batch_matches_per_query(&plain, &queries, k, &format!("plain t={threads}"));
+            assert_batch_equals_per_query(&plain, &queries, k, &format!("plain t={threads}"));
             let ea = SequentialScan::new(&db, e).with_early_abandon();
-            assert_batch_matches_per_query(&ea, &queries, k, &format!("EA t={threads}"));
+            assert_batch_equals_per_query(&ea, &queries, k, &format!("EA t={threads}"));
             let ea_par = SequentialScan::new(&db, e)
                 .with_early_abandon()
                 .with_parallel();
-            assert_batch_matches_per_query(&ea_par, &queries, k, &format!("EA+par t={threads}"));
+            let label = format!("EA+par t={threads}");
+            assert_batch_distances_match_per_query(&ea_par, &queries, k, &label);
         }
     }
 }
@@ -178,51 +177,45 @@ fn combined_batch_equals_per_query_with_coarse_grids_and_varied_k() {
 
 #[test]
 fn batched_edge_cases_degrade_gracefully() {
+    let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let db = random_db(41, 12, 10);
     let e = eps(0.5);
     let scan = SequentialScan::new(&db, e).with_early_abandon();
-    // Empty batch and singleton batch take the per-query fallback.
     assert!(scan.knn_batch(&[], 3).is_empty());
     let one = vec![db.trajectories()[0].clone()];
-    let r = scan.knn_batch(&one, 3);
-    assert_eq!(r.len(), 1);
-    assert_eq!(r[0].distances(), scan.knn(&one[0], 3).distances());
+    assert_batch_equals_per_query(&scan, &one, 3, "one query");
     // k larger than the database returns everything for every query.
     let queries: Vec<Trajectory2> = random_db(42, 3, 10).trajectories().to_vec();
     for res in scan.knn_batch(&queries, 50) {
         assert_eq!(res.neighbors.len(), db.len());
     }
+    assert_batch_equals_per_query(&scan, &queries, 50, "scan, k > N");
     let combined = CombinedKnn::build(&db, e, CombinedConfig::default());
     assert_batch_equals_per_query(&combined, &queries, 50, "k > N");
 }
 
-/// Batch accounting of the sequential scan's shared pass: accumulating
-/// the per-query stats of one batch must reproduce the batch totals
-/// exactly once — amortized wall-time shares sum back to the batch
-/// measurement, dp_cells are exact sums, and `database_size` adds up to
-/// `N × batch size`.
+/// A parallel scan's batch starts one pool, not one per query: inside a
+/// pool worker the scan runs serially.
 #[test]
-fn batched_stats_amortize_without_double_counting() {
+fn a_parallel_scans_batch_runs_one_pool() {
     let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    trajsim_parallel::set_num_threads(2);
+    trajsim_parallel::set_num_threads(4);
     let _guard = ResetThreads;
     let db = random_db(61, 40, 14);
-    let queries: Vec<Trajectory2> = random_db(62, 5, 14).trajectories().to_vec();
+    let queries: Vec<Trajectory2> = random_db(62, 8, 14).trajectories().to_vec();
     let e = eps(0.6);
-    let engine = SequentialScan::new(&db, e).with_early_abandon();
-    let results = engine.knn_batch(&queries, 4);
-    let mut acc = QueryStats::default();
-    for r in &results {
-        acc.accumulate(&r.stats);
+    let runs = || {
+        trajsim_obs::metrics::global()
+            .counter("parallel.pool_runs")
+            .get()
+    };
+    let before = runs();
+    let results = SequentialScan::new(&db, e)
+        .with_parallel()
+        .knn_batch(&queries, 4);
+    assert_eq!(runs(), before + 1);
+    let serial = SequentialScan::new(&db, e);
+    for (q, r) in queries.iter().zip(&results) {
+        assert_eq!(r.neighbors, serial.knn(q, 4).neighbors);
     }
-    assert_eq!(acc.database_size, db.len() * queries.len());
-    assert!(acc.edr_computed <= acc.database_size);
-    // Amortized shares differ by at most one nanosecond per query.
-    let totals: Vec<u64> = results.iter().map(|r| r.stats.timings.total_ns).collect();
-    let (lo, hi) = (*totals.iter().min().unwrap(), *totals.iter().max().unwrap());
-    assert!(hi - lo <= 1, "amortized totals uneven: {totals:?}");
-    assert!(acc.timings.total_ns > 0);
-    let setups: Vec<u64> = results.iter().map(|r| r.stats.timings.setup_ns).collect();
-    let (slo, shi) = (*setups.iter().min().unwrap(), *setups.iter().max().unwrap());
-    assert!(shi - slo <= 1, "amortized setups uneven: {setups:?}");
 }

@@ -1,12 +1,12 @@
 //! Helpers shared by the differential test binaries.
 
 use trajsim_core::Trajectory2;
-use trajsim_prune::{CombinedKnn, KnnEngine, QueryStats};
+use trajsim_prune::{KnnEngine, QueryStats};
 
-/// A combined engine's batched answers must be exactly its per-query
-/// answers: same ids, same distances, same funnel counters.
-pub fn assert_batch_equals_per_query(
-    engine: &CombinedKnn<'_, 2>,
+/// An engine's batched answers must be exactly its per-query answers:
+/// same ids, same distances, same funnel counters.
+pub fn assert_batch_equals_per_query<E: KnnEngine<2> + Sync>(
+    engine: &E,
     queries: &[Trajectory2],
     k: usize,
     label: &str,

@@ -8,7 +8,7 @@
 //!   `usize::MAX`.
 //! - A query longer than the rank masks' 1 024-point limit refines on
 //!   compare-built band words and still answers exactly.
-//! - A per-query path's timed parts never exceed its wall time.
+//! - A query's timed parts never exceed its wall time, on every path.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +23,9 @@ use trajsim_prune::{
 fn eps(v: f64) -> MatchThreshold {
     MatchThreshold::new(v).unwrap()
 }
+
+/// Serializes the tests that set the process-global thread count.
+static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A random walk of `len` points from `(x, 0)`.
 fn walk(rng: &mut StdRng, x: f64, len: usize) -> Trajectory2 {
@@ -94,6 +97,7 @@ fn the_plain_scan_runs_the_full_dp_on_every_candidate() {
         assert_eq!(r.stats.edr_computed, n, "{label}: query {qi}");
         assert_eq!(r.stats.dp_cells, want[qi], "{label}: query {qi}");
     };
+    let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     trajsim_parallel::set_num_threads(2);
     for k in [1, 5, n + 3] {
         let serial = SequentialScan::new(&db, e);
@@ -251,13 +255,15 @@ fn assert_conserves_time(t: &StageTimings, label: &str) {
 
 #[test]
 fn per_query_stage_times_never_exceed_the_total() {
-    // The batched paths are the exception: their stage times are worker
-    // busy time, summed over workers (see `StageTimings`).
+    // Two workers, so the parallel scan and every batch run on a pool.
+    let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    trajsim_parallel::set_num_threads(2);
     let db = walks(11, 60, 5..=120);
     let qs = queries(12, 6, 5..=120);
     let e = eps(0.3);
-    let mut engines: Vec<Box<dyn KnnEngine<2> + '_>> = vec![
+    let mut engines: Vec<Box<dyn KnnEngine<2> + Sync + '_>> = vec![
         Box::new(SequentialScan::new(&db, e)),
+        Box::new(SequentialScan::new(&db, e).with_parallel()),
         Box::new(QgramKnn::build(&db, e, 1, QgramVariant::MergeJoin2d)),
         Box::new(CseKnn::build(&db, e, 8)),
     ];
@@ -272,10 +278,14 @@ fn per_query_stage_times_never_exceed_the_total() {
         engines.push(Box::new(CombinedKnn::build(&db, e, config)));
     }
     for engine in &engines {
-        for (qi, q) in qs.iter().enumerate() {
-            for k in [1, 5] {
+        let name = engine.name();
+        for k in [1, 5] {
+            for (qi, q) in qs.iter().enumerate() {
                 let r = engine.knn(q, k);
-                assert_conserves_time(&r.stats.timings, &format!("{}: query {qi}", engine.name()));
+                assert_conserves_time(&r.stats.timings, &format!("{name}: query {qi}"));
+            }
+            for (qi, r) in engine.knn_batch(&qs, k).iter().enumerate() {
+                assert_conserves_time(&r.stats.timings, &format!("{name}: batch query {qi}"));
             }
         }
     }
@@ -286,4 +296,5 @@ fn per_query_stage_times_never_exceed_the_total() {
             assert_conserves_time(&r.stats.timings, &format!("range: query {qi}, r {radius}"));
         }
     }
+    trajsim_parallel::set_num_threads(0);
 }

@@ -53,9 +53,9 @@ fn batched_knn_reuses_scratch_instead_of_allocating() {
     );
     // Each worker's thread-local workspace grows at most a few times
     // (rows, bits, within-rows) on its first calls, then never again.
-    // The batch pool plus the parallel scan inside each query caps the
-    // distinct worker threads at THREADS + THREADS * THREADS.
-    let worker_budget = (THREADS + THREADS * THREADS) as u64 * 4;
+    // Only the batch pool's THREADS workers refine, one query at a
+    // time, each on its own thread-local workspace.
+    let worker_budget = THREADS as u64 * 4;
     assert!(
         allocs <= worker_budget,
         "allocs ({allocs}) must be bounded by the worker count, not the \

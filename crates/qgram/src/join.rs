@@ -21,14 +21,15 @@ pub struct SortedMeans<const D: usize> {
 }
 
 impl<const D: usize> SortedMeans<D> {
-    /// Extracts and sorts the mean-value q-grams of `t`.
+    /// Extracts and sorts the mean-value q-grams of `t`. A mean whose
+    /// first coordinate is NaN (of either sign) sorts after every other.
     ///
     /// # Panics
     ///
     /// Panics if `q == 0`.
     pub fn build(t: &Trajectory<D>, q: usize) -> Self {
         let mut means = crate::mean_value_qgrams(t, q);
-        means.sort_by(|a, b| a[0].partial_cmp(&b[0]).expect("finite coordinates"));
+        means.sort_by(|a, b| nan_last(a[0], b[0]));
         SortedMeans {
             means,
             source_len: t.len(),
@@ -154,6 +155,15 @@ fn witness<const D: usize>(a: &[Point<D>], b: &[Point<D>]) -> Point<D> {
     b[best]
 }
 
+/// The sort order of the joins' keys: ascending, with every NaN after
+/// every number. A NaN matches nothing, and at the tail it keeps the
+/// first-coordinate searches monotone: a `<` or `<=` test against any key
+/// holds on a prefix of the sorted keys.
+fn nan_last(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// The sort-merge search for `qa`: advances `lo` past the means of `b`
 /// more than ε below `qa` in the first coordinate, then scans the window
 /// up to ε above it for an ε-match. The means asked about must come in
@@ -190,14 +200,15 @@ pub struct SortedMeans1d {
 }
 
 impl SortedMeans1d {
-    /// Extracts and sorts the 1-d projected q-gram means of `t` on `dim`.
+    /// Extracts and sorts the 1-d projected q-gram means of `t` on `dim`,
+    /// NaN means (of either sign) last.
     ///
     /// # Panics
     ///
     /// Panics if `q == 0` or `dim` is out of range.
     pub fn build<const D: usize>(t: &Trajectory<D>, q: usize, dim: usize) -> Self {
         let mut means = crate::mean_value_qgrams_1d(t, q, dim);
-        means.sort_by(|a, b| a.partial_cmp(b).expect("finite coordinates"));
+        means.sort_by(|a, b| nan_last(*a, *b));
         SortedMeans1d {
             means,
             source_len: t.len(),
@@ -371,6 +382,58 @@ mod tests {
             }
             // Only the q windows holding the NaN point match nothing.
             assert_eq!(st.match_count(&st, eps(10.0)), t.len() - q + 1 - q);
+        }
+    }
+
+    #[test]
+    fn a_nan_key_sorts_last_and_joins_like_brute_force() {
+        let u = Trajectory2::from_xy(&[(0.2, 0.2), (2.9, 2.9), (4.1, 4.1), (6.0, 6.0)]);
+        for nan in [f64::NAN, -f64::NAN] {
+            for at in [0, 3, 6] {
+                let mut xy: Vec<(f64, f64)> =
+                    (0..7).map(|i| (f64::from(i), f64::from(i))).collect();
+                xy[at].0 = nan;
+                let t = Trajectory2::from_xy(&xy);
+                for q in 1..=2 {
+                    let (st, su) = (SortedMeans::build(&t, q), SortedMeans::build(&u, q));
+                    let firsts: Vec<f64> = st.means().iter().map(|m| m[0]).collect();
+                    let finite = firsts.iter().take_while(|x| !x.is_nan()).count();
+                    let clean = (0..=t.len() - q).filter(|&s| !(s..s + q).contains(&at));
+                    assert_eq!(finite, clean.count(), "at {at}, q = {q}");
+                    assert!(firsts[..finite].windows(2).all(|w| w[0] <= w[1]));
+                    assert!(firsts[finite..].iter().all(|x| x.is_nan()));
+                    let (st1, su1) = (
+                        SortedMeans1d::build(&t, q, 0),
+                        SortedMeans1d::build(&u, q, 0),
+                    );
+                    assert!(st1.means()[..finite].windows(2).all(|w| w[0] <= w[1]));
+                    assert!(st1.means()[finite..].iter().all(|x| x.is_nan()));
+                    for e in [eps(0.0), eps(0.3), eps(1.0), eps(10.0)] {
+                        for (x, y) in [(&st, &su), (&su, &st), (&st, &st)] {
+                            assert_eq!(
+                                x.match_count(y, e),
+                                brute_match_count(x.means(), y.means(), e),
+                                "at {at}, q = {q}, eps = {}",
+                                e.value()
+                            );
+                        }
+                        for (x, y) in [(&st1, &su1), (&su1, &st1), (&st1, &st1)] {
+                            // The 1-d join tests the window `m ± ε`, not
+                            // `|m − b| ≤ ε`, which rounds differently.
+                            let e = e.value();
+                            let brute = x
+                                .means()
+                                .iter()
+                                .filter(|&&m| y.means().iter().any(|&b| m - e <= b && b <= m + e));
+                            assert_eq!(
+                                x.match_count(y, eps(e)),
+                                brute.count(),
+                                "1-d at {at}, q = {q}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
